@@ -8,6 +8,7 @@ byte-identical outputs.
 """
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -67,6 +68,16 @@ def _min_dist(text: str):
     return value
 
 
+_HP_HELP = {
+    "mu": "distance-term weight",
+    "rho": "proxy penalty",
+    "beta": "slack penalty",
+    "eta": "gradient step divisor",
+    "cycles": "outer cycles",
+    "inner": "gradient steps per column",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="shc", description=__doc__.splitlines()[0])
     parser.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
@@ -114,12 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", required=True, metavar="FILE", help="output centers file")
     p.add_argument("--seed", type=int, default=0, help="random seed (default: %(default)s)")
-    p.add_argument("--mu", type=float, default=0.625, help="distance-term weight (default: %(default)s)")
-    p.add_argument("--rho", type=float, default=0.2, help="proxy penalty (default: %(default)s)")
-    p.add_argument("--beta", type=float, default=1e-6, help="slack penalty (default: %(default)s)")
-    p.add_argument("--eta", type=float, default=0.5, help="gradient step divisor (default: %(default)s)")
-    p.add_argument("--cycles", type=int, default=20, help="outer cycles (default: %(default)s)")
-    p.add_argument("--inner", type=int, default=3, help="gradient steps per column (default: %(default)s)")
+    for field in dataclasses.fields(AlmHyperParams):
+        p.add_argument(f"--{field.name}", type=field.type, default=field.default,
+                       help=f"{_HP_HELP[field.name]} (default: %(default)s)")
     p.add_argument(
         "--no-distance",
         action="store_true",
@@ -187,14 +195,7 @@ def _cmd_simmatrix(args) -> int:
 
 def _cmd_centers(args) -> int:
     matrix = read_similarity(args.sim)
-    hp = AlmHyperParams(
-        mu=args.mu,
-        rho=args.rho,
-        beta=args.beta,
-        eta=args.eta,
-        cycles=args.cycles,
-        inner=args.inner,
-    )
+    hp = AlmHyperParams(**{f.name: getattr(args, f.name) for f in dataclasses.fields(AlmHyperParams)})
     if args.no_distance:
         target = None
         trace = []
@@ -218,7 +219,7 @@ def _cmd_centers(args) -> int:
             "objective_trace": trace,
             "violations": violation_count(centers, target) if target is not None else None,
             "seed": args.seed,
-            "hyperparameters": hp.as_dict(),
+            "hyperparameters": dataclasses.asdict(hp),
         }
         with open(args.report, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)

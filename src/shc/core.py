@@ -39,6 +39,10 @@ CODES_MAGIC = b"SHCD"
 
 _U32X2 = struct.Struct("<II")
 
+# Tolerance within which a parsed similarity matrix may deviate from
+# symmetry, a unit diagonal and [-1, 1] before it is snapped exactly.
+SNAP_TOL = 1e-9
+
 
 class ShcError(Exception):
     """Base class for all errors raised by this package."""
@@ -169,8 +173,8 @@ class SimilarityMatrix:
     """Symmetric C x C matrix of inter-class similarities in [-1, 1], unit diagonal.
 
     The constructor enforces the invariants exactly; use :meth:`snap` to
-    build one from nearly-symmetric data (e.g. a parsed file) with a
-    tolerance.
+    build one from nearly-symmetric data (e.g. a parsed file) within
+    :data:`SNAP_TOL`.
     """
 
     __slots__ = ("values",)
@@ -194,26 +198,31 @@ class SimilarityMatrix:
         self.values = arr
 
     @classmethod
-    def snap(cls, values, tol: float = 1e-9) -> "SimilarityMatrix":
-        """Validate near-symmetry/diagonal within ``tol``, then snap exactly."""
+    def snap(cls, values) -> "SimilarityMatrix":
+        """Validate near-symmetry/diagonal within :data:`SNAP_TOL`, then snap exactly."""
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionMismatchError(f"similarity matrix must be square, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValidationError("similarity entries must be finite")
         asym = np.abs(arr - arr.T).max() if arr.size else 0.0
-        if asym > tol:
-            raise ValidationError(f"similarity matrix asymmetry {asym:g} exceeds tolerance {tol:g}")
+        if asym > SNAP_TOL:
+            raise ValidationError(f"similarity matrix asymmetry {asym:g} exceeds tolerance {SNAP_TOL:g}")
         diag_dev = np.abs(np.diag(arr) - 1.0).max()
-        if diag_dev > tol:
-            raise ValidationError(f"similarity diagonal deviates from 1 by {diag_dev:g} (> {tol:g})")
+        if diag_dev > SNAP_TOL:
+            raise ValidationError(f"similarity diagonal deviates from 1 by {diag_dev:g} (> {SNAP_TOL:g})")
         overflow = max(0.0, float(np.abs(arr).max()) - 1.0)
-        if overflow > tol:
-            raise ValidationError(f"similarity entries exceed [-1, 1] by {overflow:g} (> {tol:g})")
-        snapped = (arr + arr.T) / 2.0
-        np.clip(snapped, -1.0, 1.0, out=snapped)
-        np.fill_diagonal(snapped, 1.0)
-        return cls(snapped)
+        if overflow > SNAP_TOL:
+            raise ValidationError(f"similarity entries exceed [-1, 1] by {overflow:g} (> {SNAP_TOL:g})")
+        return cls._symmetrized(arr)
+
+    @classmethod
+    def _symmetrized(cls, arr) -> "SimilarityMatrix":
+        """Average a square matrix with its transpose, clip to [-1, 1], set a unit diagonal."""
+        sym = (arr + arr.T) / 2.0
+        np.clip(sym, -1.0, 1.0, out=sym)
+        np.fill_diagonal(sym, 1.0)
+        return cls(sym)
 
     @property
     def C(self) -> int:
@@ -294,10 +303,15 @@ def _check_same_length(a: BinaryCode, b: BinaryCode) -> None:
         raise DimensionMismatchError(f"code lengths differ: {a.q} vs {b.q}")
 
 
+def _hamming(a, b) -> np.ndarray:
+    """Exact int64 Hamming distances between {-1,+1} rows, shaped like ``a @ b.T``."""
+    return (a.shape[-1] - a.astype(np.int64) @ b.T) // 2
+
+
 def hamming_distance(a: BinaryCode, b: BinaryCode) -> int:
     """Number of positions where two equal-length codes differ."""
     _check_same_length(a, b)
-    return int(np.count_nonzero(a.bits != b.bits))
+    return int(_hamming(a.bits, b.bits))
 
 
 def inner_product(a: BinaryCode, b: BinaryCode) -> int:
@@ -319,24 +333,53 @@ def unpack_code_rows(packed, q: int) -> np.ndarray:
 
 
 @contextmanager
-def _binary_stream(f, mode):
-    if hasattr(f, "read" if mode == "rb" else "write"):
+def _open_stream(f, mode):
+    """Yield ``f`` if it is already a file object, else open the path (text as UTF-8)."""
+    if hasattr(f, "write" if "w" in mode else "read"):
         yield f
     else:
-        with open(f, mode) as fh:
+        with open(f, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise FormatError(f"truncated stream while reading {what}")
-    return data
+def _record_dtype(q: int, labeled: bool) -> np.dtype:
+    """Layout of one packed record: u32 label (codes files only), then the code row."""
+    code = ("code", "u1", ((q + 7) // 8,))
+    return np.dtype([("label", "<u4"), code] if labeled else [code])
+
+
+def _read_records(source, magic: bytes, labeled: bool) -> tuple[np.ndarray, int]:
+    """Read ``magic | u32 count | u32 q | count records`` and return (records, q).
+
+    The rest of the stream must hold exactly the records the header
+    promises, and the pad bits of every packed row must be zero.
+    """
+    with _open_stream(source, "rb") as fh:
+        head = fh.read(4 + _U32X2.size)
+        if head[:4] != magic:
+            raise FormatError(f"bad magic {head[:4]!r}, expected {magic!r}")
+        if len(head) < 4 + _U32X2.size:
+            raise FormatError("truncated stream while reading header")
+        count, q = _U32X2.unpack(head[4:])
+        if q == 0:
+            raise FormatError("invalid header: q=0")
+        dtype = _record_dtype(q, labeled)
+        payload = fh.read()
+    if len(payload) != count * dtype.itemsize:
+        raise FormatError(
+            f"header promises {count} records of {dtype.itemsize} bytes, "
+            f"stream holds {len(payload)} bytes"
+        )
+    records = np.frombuffer(payload, dtype=dtype)
+    pad = -q % 8
+    if pad and (records["code"][:, -1] & ((1 << pad) - 1)).any():
+        raise FormatError("nonzero pad bits after a packed code row")
+    return records, q
 
 
 def write_centers(centers: CenterSet, sink) -> None:
     """Write a center set: magic ``SHC1`` | u32 C | u32 q | C packed rows."""
-    with _binary_stream(sink, "wb") as fh:
+    with _open_stream(sink, "wb") as fh:
         fh.write(CENTERS_MAGIC)
         fh.write(_U32X2.pack(centers.C, centers.q))
         fh.write(pack_code_rows(centers.matrix).tobytes())
@@ -344,17 +387,10 @@ def write_centers(centers: CenterSet, sink) -> None:
 
 def read_centers(source) -> CenterSet:
     """Read a center set written by :func:`write_centers`."""
-    with _binary_stream(source, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != CENTERS_MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {CENTERS_MAGIC!r}")
-        C, q = _U32X2.unpack(_read_exact(fh, 8, "header"))
-        if C == 0 or q == 0:
-            raise FormatError(f"invalid header: C={C}, q={q}")
-        row_bytes = (q + 7) // 8
-        payload = _read_exact(fh, C * row_bytes, "center payload")
-        packed = np.frombuffer(payload, dtype=np.uint8).reshape(C, row_bytes)
-        return CenterSet(unpack_code_rows(packed, q))
+    records, q = _read_records(source, CENTERS_MAGIC, labeled=False)
+    if records.size == 0:
+        raise FormatError(f"invalid header: C=0, q={q}")
+    return CenterSet(unpack_code_rows(records["code"], q))
 
 
 def write_codes(db: CodeDatabase, sink) -> None:
@@ -362,11 +398,10 @@ def write_codes(db: CodeDatabase, sink) -> None:
 
     Each record is u32 label followed by the packed code row.
     """
-    with _binary_stream(sink, "wb") as fh:
+    with _open_stream(sink, "wb") as fh:
         fh.write(CODES_MAGIC)
         fh.write(_U32X2.pack(len(db), db.q))
-        row_bytes = (db.q + 7) // 8
-        records = np.zeros(len(db), dtype=[("label", "<u4"), ("code", "u1", (row_bytes,))])
+        records = np.zeros(len(db), dtype=_record_dtype(db.q, labeled=True))
         records["label"] = db.labels
         records["code"] = pack_code_rows(db.codes)
         fh.write(records.tobytes())
@@ -374,23 +409,8 @@ def write_codes(db: CodeDatabase, sink) -> None:
 
 def read_codes(source, classes: int | None = None) -> CodeDatabase:
     """Read a code database; with ``classes`` given, validate the label range."""
-    with _binary_stream(source, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != CODES_MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {CODES_MAGIC!r}")
-        N, q = _U32X2.unpack(_read_exact(fh, 8, "header"))
-        if q == 0:
-            raise FormatError("invalid header: q=0")
-        row_bytes = (q + 7) // 8
-        payload = _read_exact(fh, N * (4 + row_bytes), "code records")
-        records = np.frombuffer(payload, dtype=[("label", "<u4"), ("code", "u1", (row_bytes,))])
-        if N:
-            codes = unpack_code_rows(records["code"], q)
-            labels = records["label"].astype(np.int64)
-        else:
-            codes = np.zeros((0, q), dtype=np.int8)
-            labels = np.zeros(0, dtype=np.int64)
-        db = CodeDatabase(labels, codes)
-        if classes is not None:
-            db.validate_labels(classes)
-        return db
+    records, q = _read_records(source, CODES_MAGIC, labeled=True)
+    db = CodeDatabase(records["label"].astype(np.int64), unpack_code_rows(records["code"], q))
+    if classes is not None:
+        db.validate_labels(classes)
+    return db

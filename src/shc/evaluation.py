@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BinaryCode, CodeDatabase, DimensionMismatchError, ValidationError
+from .core import BinaryCode, CodeDatabase, DimensionMismatchError, ValidationError, _hamming
 
 __all__ = [
     "DEFAULT_PR_GRID",
@@ -68,8 +68,7 @@ def rank_database(query: BinaryCode, db: CodeDatabase) -> np.ndarray:
     """Record indices by ascending Hamming distance, ties by ascending index."""
     if query.q != db.q:
         raise DimensionMismatchError(f"query length {query.q} vs database length {db.q}")
-    dist = (db.q - db.codes.astype(np.int64) @ query.bits) // 2
-    return np.argsort(dist, kind="stable")
+    return np.argsort(_hamming(db.codes, query.bits), kind="stable")
 
 
 def average_precision(query_label: int, ranked_labels, k: int) -> float:
@@ -91,8 +90,7 @@ def average_precision(query_label: int, ranked_labels, k: int) -> float:
 def _chunk_stats(q_codes, q_labels, db, cutoffs):
     """Per-query relevant-counts and AP at each cutoff, for a chunk of queries."""
     N = len(db)
-    dist = (db.q - q_codes.astype(np.int64) @ db.codes.T) // 2
-    order = np.argsort(dist, axis=1, kind="stable")
+    order = np.argsort(_hamming(q_codes, db.codes), axis=1, kind="stable")
     rel = db.labels[order] == q_labels[:, None]
     cum = np.cumsum(rel, axis=1)
     ap_num = np.cumsum(rel * (cum / np.arange(1, N + 1)), axis=1)
@@ -139,19 +137,16 @@ def evaluate(
 
     n_q = len(queries)
     workers = max(1, min(int(workers), n_q))
-    if workers == 1:
-        hits, ap = _chunk_stats(queries.codes, queries.labels, db, cut_arr)
-    else:
-        chunks = np.array_split(np.arange(n_q), workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda idx: _chunk_stats(queries.codes[idx], queries.labels[idx], db, cut_arr),
-                    chunks,
-                )
+    chunks = np.array_split(np.arange(n_q), workers)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = list(
+            pool.map(
+                lambda idx: _chunk_stats(queries.codes[idx], queries.labels[idx], db, cut_arr),
+                chunks,
             )
-        hits = np.vstack([p[0] for p in parts])
-        ap = np.vstack([p[1] for p in parts])
+        )
+    hits = np.vstack([p[0] for p in parts])
+    ap = np.vstack([p[1] for p in parts])
 
     label_counts = np.bincount(db.labels, minlength=int(queries.labels.max()) + 1)
     totals = label_counts[queries.labels].astype(np.float64)

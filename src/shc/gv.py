@@ -5,8 +5,6 @@ distance d exist whenever 2^q / C <= sum_{i=0}^{d-1} binom(q, i).  All
 arithmetic is exact integer arithmetic, so q = 64 and beyond are safe.
 """
 
-from math import comb
-
 from .core import InfeasibleError, ValidationError
 
 __all__ = ["compute_min_distance"]
@@ -29,10 +27,12 @@ def compute_min_distance(q: int, C: int) -> int:
         return q
     total = 2**q
     ball = 0
+    term = 1  # binom(q, d - 1), updated in O(q) big-int steps instead of recomputed
     for d in range(1, q + 1):
-        ball += comb(q, d - 1)
+        ball += term
         if total <= C * ball:
             return d
+        term = term * (q - d + 1) // d
     # Unreachable: d = q gives ball = 2^q - 1 and C >= 2 always satisfies
     # 2^q <= C * (2^q - 1).
     raise InfeasibleError(f"no feasible minimum distance for q={q}, C={C}")

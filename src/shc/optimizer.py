@@ -31,6 +31,7 @@ from .core import (
     ShcError,
     SimilarityMatrix,
     ValidationError,
+    _hamming,
 )
 
 __all__ = [
@@ -97,16 +98,6 @@ class AlmHyperParams:
         if self.inner < 1:
             raise ValidationError(f"inner must be >= 1, got {self.inner}")
 
-    def as_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "rho": self.rho,
-            "beta": self.beta,
-            "eta": self.eta,
-            "cycles": self.cycles,
-            "inner": self.inner,
-        }
-
 
 @dataclass
 class AlmState:
@@ -170,16 +161,37 @@ class AlmState:
         )
 
 
-def _sim_values(S) -> np.ndarray:
+def _sim_values(S, C: int | None = None) -> np.ndarray:
+    """Similarity values as a square float array; with ``C`` given, check it is C x C."""
     arr = S.values if isinstance(S, SimilarityMatrix) else np.asarray(S, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatchError(f"similarity matrix must be square, got shape {arr.shape}")
+    if C is not None and arr.shape[0] != C:
+        raise DimensionMismatchError(f"similarity is {arr.shape[0]}x{arr.shape[0]} but C={C}")
     return arr
 
 
-def _check_sim(state: AlmState, S: np.ndarray) -> None:
-    if S.shape[0] != state.C:
-        raise DimensionMismatchError(f"similarity is {S.shape[0]}x{S.shape[0]} but C={state.C}")
+def _gram_stats(rows, Sv=None) -> tuple[float | None, float, np.ndarray]:
+    """Statistics of the Gram matrix G = rows rows^T of C {-1,+1} rows of length q.
+
+    Returns the similarity loss ||S - G/q||_F^2 (None without ``Sv``), the
+    off-diagonal sum of G, and the Hamming distances of the i < j pairs in
+    row-major order.  G holds exact integers in float64, so every value is
+    exact.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    q = rows.shape[1]
+    G = rows @ rows.T
+    s_loss = None
+    if Sv is not None:
+        fit = Sv - G / q
+        s_loss = float((fit * fit).sum())
+    iu = np.triu_indices(G.shape[0], k=1)
+    return s_loss, float(G.sum() - np.trace(G)), (q - G[iu]) // 2
+
+
+def _count_close_pairs(rows, d: int) -> int:
+    return int(np.count_nonzero(_gram_stats(rows)[2] < d))
 
 
 def _sign_keep(values: np.ndarray, previous: np.ndarray) -> np.ndarray:
@@ -220,8 +232,7 @@ def init_centers(q: int, C: int, d: int, seed: int, method: str = INIT_GREEDY) -
             rows[0] = cand[0]
             filled = 1
             continue
-        dist = (q - cand.astype(np.int64) @ rows[:filled].T) // 2
-        min_dist = dist.min(axis=1)
+        min_dist = _hamming(cand, rows[:filled]).min(axis=1)
         qualified = np.nonzero(min_dist >= d)[0]
         if qualified.size:
             rows[filled] = cand[qualified[0]]
@@ -242,13 +253,6 @@ def init_centers(q: int, C: int, d: int, seed: int, method: str = INIT_GREEDY) -
     return CenterSet(rows)
 
 
-def _count_close_pairs(rows: np.ndarray, d: int) -> int:
-    gram = rows.astype(np.int64) @ rows.T
-    iu = np.triu_indices(rows.shape[0], k=1)
-    dist = (rows.shape[1] - gram[iu]) // 2
-    return int(np.count_nonzero(dist < d))
-
-
 def _exhaustive_max_min(accepted: np.ndarray, q: int) -> np.ndarray:
     """All 200 candidates collided with accepted centers; enumerate instead.
 
@@ -258,9 +262,7 @@ def _exhaustive_max_min(accepted: np.ndarray, q: int) -> np.ndarray:
         raise ShcError("could not draw a candidate distinct from accepted centers")
     codes = ((np.arange(2**q, dtype=np.int64)[:, None] >> np.arange(q - 1, -1, -1)) & 1)
     codes = (codes.astype(np.int8) * 2) - 1
-    dist = (q - codes.astype(np.int64) @ accepted.T) // 2
-    min_dist = dist.min(axis=1)
-    return codes[int(np.argmax(min_dist))]
+    return codes[int(np.argmax(_hamming(codes, accepted).min(axis=1)))]
 
 
 def _hadamard_centers(q: int, C: int, d: int) -> CenterSet:
@@ -288,8 +290,7 @@ def alm_objective(state: AlmState, S, hp: AlmHyperParams) -> float:
     alpha/beta terms on the residuals r_ij = q - 2d - h_i^T h_j - k_ij
     (off-diagonal pairs only).
     """
-    Sv = _sim_values(S)
-    _check_sim(state, Sv)
+    Sv = _sim_values(S, state.C)
     q, C = state.q, state.C
     H, M = state.H, state.M
     G = H.T @ H
@@ -316,8 +317,7 @@ def update_proxy(state: AlmState, S, hp: AlmHyperParams) -> np.ndarray:
     Solves the SPD system ((2/q^2) H H^T + rho I) m_i = (2/q) H s_i +
     lambda_i + rho h_i for every column.
     """
-    Sv = _sim_values(S)
-    _check_sim(state, Sv)
+    Sv = _sim_values(S, state.C)
     q = state.q
     H = state.H
     A = (2.0 / q**2) * (H @ H.T)
@@ -347,8 +347,7 @@ def center_gradient(state: AlmState, S, hp: AlmHyperParams, i: int) -> np.ndarra
     of each alpha/beta residual (r_ij and r_ji).  Matches central finite
     differences of :func:`alm_objective`.
     """
-    Sv = _sim_values(S)
-    _check_sim(state, Sv)
+    Sv = _sim_values(S, state.C)
     q, C = state.q, state.C
     H, M = state.H, state.M
     h = H[:, i]
@@ -401,13 +400,8 @@ def constrained_objective(centers: CenterSet, S, mu: float) -> float:
 
     ||S - (1/q) H^T H||_F^2 + mu * sum_{i != j} h_i^T h_j.
     """
-    Sv = _sim_values(S)
-    if Sv.shape[0] != centers.C:
-        raise DimensionMismatchError(f"similarity is {Sv.shape[0]}x{Sv.shape[0]} but C={centers.C}")
-    rows = centers.matrix.astype(np.float64)
-    G = rows @ rows.T
-    fit = Sv - G / centers.q
-    return float((fit * fit).sum()) + mu * float(G.sum() - np.trace(G))
+    s_loss, off_diagonal, _ = _gram_stats(centers.matrix, _sim_values(S, centers.C))
+    return s_loss + mu * off_diagonal
 
 
 def violation_count(centers: CenterSet, d: int) -> int:
@@ -415,13 +409,10 @@ def violation_count(centers: CenterSet, d: int) -> int:
     return _count_close_pairs(centers.matrix, d)
 
 
-def _gram_score(G: np.ndarray, Sv: np.ndarray, q: int, d: int, mu: float) -> tuple[int, float]:
-    """Incumbent key: (violated pair count, constrained objective), from the Gram matrix."""
-    iu = np.triu_indices(G.shape[0], k=1)
-    violations = int(np.count_nonzero(G[iu] > q - 2 * d))
-    fit = Sv - G / q
-    objective = float((fit * fit).sum()) + mu * float(G.sum() - np.trace(G))
-    return violations, objective
+def _gram_score(H: np.ndarray, Sv: np.ndarray, d: int, mu: float) -> tuple[int, float]:
+    """Incumbent key of the (q, C) centers H: (violated pair count, constrained objective)."""
+    s_loss, off_diagonal, dist = _gram_stats(H.T, Sv)
+    return int(np.count_nonzero(dist < d)), s_loss + mu * off_diagonal
 
 
 def optimize(
@@ -449,7 +440,7 @@ def optimize(
         raise ValidationError(f"d must lie in [1, {q}], got {d}")
     state = AlmState.initial(init_centers(q, C, d, seed, method=init), d)
 
-    best_key = _gram_score(state.H.T @ state.H, Sv, q, d, hp.mu)
+    best_key = _gram_score(state.H, Sv, d, hp.mu)
     best_H = state.H.copy()
     trace = []
     for _ in range(hp.cycles):
@@ -458,7 +449,7 @@ def optimize(
         for i in range(C):
             update_center(state, Sv, hp, i)
             update_multipliers(state, hp, i)
-        key = _gram_score(state.H.T @ state.H, Sv, q, d, hp.mu)
+        key = _gram_score(state.H, Sv, d, hp.mu)
         if key < best_key:
             best_key = key
             best_H = state.H.copy()
@@ -509,12 +500,7 @@ def ablation_optimize(
         gap = Hm - Mm
         return float((fit * fit).sum()) + hp.mu * float((gap * gap).sum())
 
-    def similarity_loss(Hm):
-        G = Hm.T @ Hm
-        fit = Sv - G / q
-        return float((fit * fit).sum())
-
-    best_loss = similarity_loss(H)
+    best_loss = _gram_stats(H.T, Sv)[0]
     best_H = H.copy()
     for _ in range(hp.cycles):
         before = relaxed(H, M)
@@ -528,7 +514,7 @@ def ablation_optimize(
         B = (M @ Sv) / q + hp.mu * M
         H = _sign_keep(cho_solve(cho_factor(A), B), H)
 
-        loss = similarity_loss(H)
+        loss = _gram_stats(H.T, Sv)[0]
         if loss < best_loss:
             best_loss = loss
             best_H = H.copy()
@@ -542,15 +528,5 @@ def quality_metrics(centers: CenterSet, S) -> tuple[int | None, float]:
     With a single center there are no pairs, so the distance is reported as
     None rather than a misleading 0.
     """
-    Sv = _sim_values(S)
-    if Sv.shape[0] != centers.C:
-        raise DimensionMismatchError(f"similarity is {Sv.shape[0]}x{Sv.shape[0]} but C={centers.C}")
-    rows = centers.matrix.astype(np.float64)
-    G = rows @ rows.T
-    fit = Sv - G / centers.q
-    s_loss = float((fit * fit).sum())
-    if centers.C < 2:
-        return None, s_loss
-    iu = np.triu_indices(centers.C, k=1)
-    d_min = int(((centers.q - G[iu]) / 2).min())
-    return d_min, s_loss
+    s_loss, _, dist = _gram_stats(centers.matrix, _sim_values(S, centers.C))
+    return (int(dist.min()) if dist.size else None), s_loss

@@ -6,7 +6,7 @@ out; average those distributions per class; shift/scale each class row to
 builds the matrix from per-class embedding vectors instead.
 """
 
-from contextlib import contextmanager
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +18,7 @@ from .core import (
     MissingClassError,
     SimilarityMatrix,
     ValidationError,
+    _open_stream,
 )
 
 __all__ = [
@@ -140,9 +141,7 @@ def symmetrize_and_unit_diag(rows) -> SimilarityMatrix:
         raise ValidationError("matrix entries must be finite")
     if arr.size and np.abs(arr).max() > 1.0:
         raise ValidationError("matrix entries must lie in [-1, 1]")
-    sym = (arr + arr.T) / 2.0
-    np.fill_diagonal(sym, 1.0)
-    return SimilarityMatrix(sym)
+    return SimilarityMatrix._symmetrized(arr)
 
 
 def build_similarity(records, C: int, mask: str = MASK_GROUND_TRUTH) -> SimilarityMatrix:
@@ -166,20 +165,7 @@ def cosine_similarity_matrix(embeddings) -> SimilarityMatrix:
     if zero.size:
         raise DegenerateInputError(f"zero-norm embeddings for classes: {zero.tolist()}")
     unit = arr / norms[:, None]
-    gram = unit @ unit.T
-    np.clip(gram, -1.0, 1.0, out=gram)
-    gram = (gram + gram.T) / 2.0
-    np.fill_diagonal(gram, 1.0)
-    return SimilarityMatrix(gram)
-
-
-@contextmanager
-def _text_stream(f, mode):
-    if hasattr(f, "read" if mode == "r" else "write"):
-        yield f
-    else:
-        with open(f, mode, encoding="utf-8") as fh:
-            yield fh
+    return SimilarityMatrix._symmetrized(unit @ unit.T)
 
 
 def _parse_header_int(text, key, what):
@@ -195,9 +181,30 @@ def _parse_header_int(text, key, what):
     return value
 
 
+def _read_rows(fh, count: int, width: int, what: str) -> np.ndarray:
+    """Parse the next ``count`` lines of ``width`` comma-separated reals into a (count, width) array.
+
+    Values go into one growable buffer as rows arrive, so a header that
+    promises more rows than the stream holds allocates nothing up front.
+    """
+    values = array("d")
+    for i in range(count):
+        line = fh.readline()
+        if not line:
+            raise FormatError(f"{what}: expected {count} rows, got {i}")
+        parts = line.strip().split(",")
+        if len(parts) != width:
+            raise FormatError(f"{what} row {i}: expected {width} values, got {len(parts)}")
+        try:
+            values.extend(map(float, parts))
+        except ValueError as exc:
+            raise FormatError(f"{what} row {i}: {exc}") from None
+    return np.frombuffer(values).reshape(count, width)
+
+
 def read_logits(source) -> tuple[list[LogitRecord], int]:
     """Parse a logit file: first line ``C=<int>``, then ``id,label,logit_0,...`` lines."""
-    with _text_stream(source, "r") as fh:
+    with _open_stream(source, "r") as fh:
         header = fh.readline()
         if not header:
             raise FormatError("empty logit file")
@@ -227,7 +234,7 @@ def read_logits(source) -> tuple[list[LogitRecord], int]:
 
 def read_embeddings(source) -> np.ndarray:
     """Parse an embedding file: ``C=<int>,D=<int>`` then C rows of D reals."""
-    with _text_stream(source, "r") as fh:
+    with _open_stream(source, "r") as fh:
         header = fh.readline()
         if not header:
             raise FormatError("empty embedding file")
@@ -236,20 +243,7 @@ def read_embeddings(source) -> np.ndarray:
             raise FormatError(f"embedding header must be 'C=<int>,D=<int>', got {header.strip()!r}")
         C = _parse_header_int(fields[0], "C", "embedding header")
         D = _parse_header_int(fields[1], "D", "embedding header")
-        rows = np.zeros((C, D))
-        for i in range(C):
-            line = fh.readline()
-            if not line:
-                raise FormatError(f"embedding file: expected {C} rows, got {i}")
-            parts = line.strip().split(",")
-            if len(parts) != D:
-                raise FormatError(
-                    f"embedding file row {i}: expected {D} values, got {len(parts)}"
-                )
-            try:
-                rows[i] = [float(p) for p in parts]
-            except ValueError as exc:
-                raise FormatError(f"embedding file row {i}: {exc}") from None
+        rows = _read_rows(fh, C, D, "embedding file")
         if not np.isfinite(rows).all():
             raise FormatError("embedding file: non-finite value")
     return rows
@@ -257,16 +251,16 @@ def read_embeddings(source) -> np.ndarray:
 
 def write_similarity(matrix: SimilarityMatrix, sink) -> None:
     """Write a similarity matrix: first line C, then C comma-separated rows."""
-    with _text_stream(sink, "w") as fh:
+    with _open_stream(sink, "w") as fh:
         fh.write(f"{matrix.C}\n")
         for row in matrix.values:
             fh.write(",".join(format(v, ".17g") for v in row))
             fh.write("\n")
 
 
-def read_similarity(source, tol: float = 1e-9) -> SimilarityMatrix:
-    """Read a similarity matrix file; validates within ``tol`` and snaps exactly."""
-    with _text_stream(source, "r") as fh:
+def read_similarity(source) -> SimilarityMatrix:
+    """Read a similarity matrix file; validates within ``SNAP_TOL`` and snaps exactly."""
+    with _open_stream(source, "r") as fh:
         header = fh.readline()
         if not header:
             raise FormatError("empty similarity file")
@@ -278,18 +272,5 @@ def read_similarity(source, tol: float = 1e-9) -> SimilarityMatrix:
             ) from None
         if C < 1:
             raise FormatError(f"similarity class count must be positive, got {C}")
-        values = np.zeros((C, C))
-        for i in range(C):
-            line = fh.readline()
-            if not line:
-                raise FormatError(f"similarity file: expected {C} rows, got {i}")
-            parts = line.strip().split(",")
-            if len(parts) != C:
-                raise FormatError(
-                    f"similarity file row {i}: expected {C} values, got {len(parts)}"
-                )
-            try:
-                values[i] = [float(p) for p in parts]
-            except ValueError as exc:
-                raise FormatError(f"similarity file row {i}: {exc}") from None
-    return SimilarityMatrix.snap(values, tol=tol)
+        values = _read_rows(fh, C, C, "similarity file")
+    return SimilarityMatrix.snap(values)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import struct
 import subprocess
 import sys
 
@@ -6,8 +8,16 @@ import numpy as np
 import pytest
 
 from shc.cli import build_parser, main
-from shc.core import CenterSet, CodeDatabase, read_centers, write_centers, write_codes
-from shc.similarity import write_similarity
+from shc.core import (
+    CenterSet,
+    CodeDatabase,
+    FormatError,
+    read_centers,
+    read_codes,
+    write_centers,
+    write_codes,
+)
+from shc.similarity import read_embeddings, read_similarity, write_similarity
 from shc.optimizer import quality_metrics
 from shc.core import SimilarityMatrix
 
@@ -273,3 +283,113 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "21"
+
+
+def _u32x2(a, b):
+    return struct.pack("<II", a, b)
+
+
+# Files that claim more than they hold, hold more than they claim, or set
+# pad bits; keyed by case name: (file kind, file bytes).
+HOSTILE_FILES = {
+    "centers-trailing-bytes": ("centers", b"SHC1" + _u32x2(1, 8) + b"\xff" + b"\x00"),
+    "codes-trailing-bytes": ("codes", b"SHCD" + _u32x2(1, 8) + bytes(4) + b"\xff" + b"\x00"),
+    "centers-huge-header": ("centers", b"SHC1" + _u32x2(2**32 - 1, 2**32 - 1) + b"\xff"),
+    "codes-huge-header": ("codes", b"SHCD" + _u32x2(2**32 - 1, 2**32 - 1) + bytes(5)),
+    "centers-pad-bits": ("centers", b"SHC1" + _u32x2(1, 3) + bytes([0b10100001])),
+    "codes-pad-bits": ("codes", b"SHCD" + _u32x2(1, 3) + bytes(4) + bytes([0b10100001])),
+    "similarity-huge-header": ("similarity", b"100000000\n1,0\n0,1\n"),
+    "embeddings-huge-header": ("embeddings", b"C=100000000,D=100000000\n1,0\n0,1\n"),
+}
+
+HOSTILE_READERS = {
+    "centers": read_centers,
+    "codes": read_codes,
+    "similarity": read_similarity,
+    "embeddings": read_embeddings,
+}
+
+
+def hostile_argv(kind, path, tmp_path):
+    out = str(tmp_path / "out")
+    # one class, like the centers files above, so only the centers file can fail
+    sim = tmp_path / "sim1.txt"
+    write_similarity(SimilarityMatrix(np.ones((1, 1))), sim)
+    return {
+        "centers": ["inspect", "--centers", path, "--sim", str(sim)],
+        "codes": ["eval", "--db", path, "--queries", path, "--out", out],
+        "similarity": ["centers", "--sim", path, "--bits", "16", "--out", out],
+        "embeddings": ["simmatrix", "--embeddings", path, "--out", out],
+    }[kind]
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("case", sorted(HOSTILE_FILES))
+    def test_reader_raises_format_error(self, case, tmp_path):
+        kind, data = HOSTILE_FILES[case]
+        path = tmp_path / "hostile"
+        path.write_bytes(data)
+        with pytest.raises(FormatError):
+            HOSTILE_READERS[kind](path)
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_FILES))
+    def test_cli_one_line_exit_1(self, case, tmp_path, capsys):
+        kind, data = HOSTILE_FILES[case]
+        path = tmp_path / "hostile"
+        path.write_bytes(data)
+        assert main(hostile_argv(kind, str(path), tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("shc: error:") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+
+# sha256 of every file run_golden_pipeline writes (recorded with numpy 2.4
+# on x86-64).  Changes meant to keep the CLI's outputs must keep these bytes.
+GOLDEN_SHA256 = {
+    "centers_emb.json": "360e27eca713fa4cd4cea7ea414645a1109e8b00fc476c5b0d1c7209d7f980f9",
+    "centers_emb.shc": "4cb7f220f6ca3758ff7e918503dcefddb0f0613e9d63b2435e11a17888260808",
+    "centers_log.json": "a16344b0c23282293992d0b5a7f42568aed3b60173dbc93c09e5c591c38653fd",
+    "centers_log.shc": "4b557ac569250f782ceb12dfbca622eb873e93ebcbc7b36dd8b3f0e9098bdbe3",
+    "db.shcd": "e88ee155f5aba9688d33d8ee62d3d83693288feb2a15333c77bda64c8cc8e6fa",
+    "emb.txt": "b34fbc4b49bb03456f1d77ba642afd06fbea86a9940a21cac1082170e78bb2c0",
+    "eval.json": "037090327f167dd21ac27535569227000007258dfcd0f6316a4603cc67bbbff9",
+    "logits.txt": "e8fa38f2197911689fbc70687caaa4b54e6d821213843ba6162cad19796fb70b",
+    "queries.shcd": "5d65500b7e9b77e9d654ed0e2bc40478c0e8e822bed2988c73fffbd2c7c18f28",
+    "sim_emb.txt": "923035c02f2c85bdee69782b59066d232077ce4f5be583bb0dc05305a48b8fa2",
+    "sim_log.txt": "40b887519d919c639447fea136c2f88fc56e80107daaca5ba5ffd06dbdf3e5e6",
+}
+
+
+def run_golden_pipeline(tmp_path):
+    """simmatrix (embeddings and logits) -> centers --report -> eval, on seeded inputs."""
+    rng = np.random.default_rng(2025)
+    emb = rng.normal(size=(10, 6))
+    (tmp_path / "emb.txt").write_text(
+        "C=10,D=6\n" + "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in emb),
+        encoding="utf-8",
+    )
+    write_logit_file(tmp_path / "logits.txt", 5, 4, seed=2025)
+    for name, flag, source in (("emb", "--embeddings", "emb.txt"), ("log", "--logits", "logits.txt")):
+        sim = str(tmp_path / f"sim_{name}.txt")
+        assert main(["simmatrix", flag, str(tmp_path / source), "--out", sim]) == 0
+        assert main(["centers", "--sim", sim, "--bits", "16", "--seed", "3",
+                     "--out", str(tmp_path / f"centers_{name}.shc"),
+                     "--report", str(tmp_path / f"centers_{name}.json")]) == 0
+    H = read_centers(tmp_path / "centers_emb.shc").matrix
+    for name, n in (("db", 60), ("queries", 12)):
+        labels = rng.integers(0, len(H), n)
+        flips = np.where(rng.random((n, H.shape[1])) < 0.15, -1, 1)
+        write_codes(CodeDatabase(labels, H[labels] * flips), tmp_path / f"{name}.shcd")
+    assert main(["eval", "--db", str(tmp_path / "db.shcd"), "--queries",
+                 str(tmp_path / "queries.shcd"), "--topk", "5,all", "--out",
+                 str(tmp_path / "eval.json")]) == 0
+
+
+class TestGoldenBytes:
+    def test_pipeline_outputs_match_recorded_digests(self, tmp_path):
+        run_golden_pipeline(tmp_path)
+        got = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(tmp_path.iterdir())
+        }
+        assert got == GOLDEN_SHA256

@@ -1,4 +1,4 @@
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -82,3 +82,28 @@ def test_exact_arithmetic_at_q64_boundary():
     assert C * ball < 2**q
     ball += binom(q, 23)
     assert C * ball >= 2**q
+
+
+def comb_sum_min_distance(q, C):
+    """The bound scan with a fresh binom(q, d - 1) at every step."""
+    ball = 0
+    for d in range(1, q + 1):
+        ball += comb(q, d - 1)
+        if 2**q <= C * ball:
+            return d
+    return None
+
+
+@pytest.mark.parametrize("q", range(1, 65))
+def test_running_binomial_matches_comb_sum(q):
+    for C in (2, 3, 100, 2**q):
+        if C > 2**q:
+            with pytest.raises(InfeasibleError):
+                compute_min_distance(q, C)
+        else:
+            assert compute_min_distance(q, C) == comb_sum_min_distance(q, C)
+
+
+@pytest.mark.parametrize("q", [500, 2000])
+def test_running_binomial_at_long_codes(q):
+    assert compute_min_distance(q, 3) == comb_sum_min_distance(q, 3)
