@@ -45,7 +45,6 @@ from .optimizer import (
     update_slack,
 )
 from .similarity import (
-    LogitRecord,
     build_similarity,
     class_similarity_rows,
     cosine_similarity_matrix,
@@ -75,7 +74,6 @@ __all__ = [
     "write_codes",
     "read_codes",
     "compute_min_distance",
-    "LogitRecord",
     "masked_softmax",
     "class_similarity_rows",
     "normalize_row",

@@ -184,8 +184,7 @@ def _cmd_gvbound(args) -> int:
 
 def _cmd_simmatrix(args) -> int:
     if args.logits is not None:
-        records, classes = read_logits(args.logits)
-        matrix = build_similarity(records, classes, mask=args.mask)
+        matrix = build_similarity(*read_logits(args.logits), mask=args.mask)
     else:
         matrix = cosine_similarity_matrix(read_embeddings(args.embeddings))
     write_similarity(matrix, args.out)
@@ -308,8 +307,8 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"shc: infeasible: {exc}", file=sys.stderr)
         return 2
-    except (ShcError, OSError) as exc:
-        print(f"shc: error: {exc}", file=sys.stderr)
+    except (ShcError, OSError, MemoryError) as exc:
+        print(f"shc: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

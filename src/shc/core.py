@@ -334,12 +334,15 @@ def unpack_code_rows(packed, q: int) -> np.ndarray:
 
 @contextmanager
 def _open_stream(f, mode):
-    """Yield ``f`` if it is already a file object, else open the path (text as UTF-8)."""
-    if hasattr(f, "write" if "w" in mode else "read"):
-        yield f
-    else:
-        with open(f, mode, encoding=None if "b" in mode else "utf-8") as fh:
-            yield fh
+    """Yield ``f`` if it is already a file object, else open the path; text must be UTF-8."""
+    try:
+        if hasattr(f, "write" if "w" in mode else "read"):
+            yield f
+        else:
+            with open(f, mode, encoding=None if "b" in mode else "utf-8") as fh:
+                yield fh
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text: {exc}") from None
 
 
 def _record_dtype(q: int, labeled: bool) -> np.dtype:

@@ -33,6 +33,11 @@ DEFAULT_PR_GRID = tuple(
     + list(range(150, 501, 50))
 )
 
+# Working-memory budget of one query chunk.  Ranking a chunk holds about 40
+# bytes per (query x database record) pair, so eval memory is bounded by the
+# budget times the worker count, not by queries x records.
+EVAL_CHUNK_BYTES = 64 << 20
+
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -87,11 +92,11 @@ def average_precision(query_label: int, ranked_labels, k: int) -> float:
     return float((precision * rel).sum() / hits)
 
 
-def _chunk_stats(q_codes, q_labels, db, cutoffs):
+def _chunk_stats(q_codes, q_labels, db_codes, db_labels, cutoffs):
     """Per-query relevant-counts and AP at each cutoff, for a chunk of queries."""
-    N = len(db)
-    order = np.argsort(_hamming(q_codes, db.codes), axis=1, kind="stable")
-    rel = db.labels[order] == q_labels[:, None]
+    N = len(db_labels)
+    order = np.argsort(_hamming(q_codes, db_codes), axis=1, kind="stable")
+    rel = db_labels[order] == q_labels[:, None]
     cum = np.cumsum(rel, axis=1)
     ap_num = np.cumsum(rel * (cum / np.arange(1, N + 1)), axis=1)
     at = np.minimum(cutoffs, N) - 1
@@ -112,9 +117,10 @@ def evaluate(
 
     MAP is reported at each cutoff in ``top_ks``; the precision/recall/PR
     curves are computed over ``pr_grid`` (default :data:`DEFAULT_PR_GRID`).
-    Cutoffs beyond the database size N are evaluated at N.  Per-query work
-    may be spread over ``workers`` threads; results are reduced in a fixed
-    index order, so the outputs do not depend on the worker count.
+    Cutoffs beyond the database size N are evaluated at N.  Queries are
+    ranked in row chunks of at most :data:`EVAL_CHUNK_BYTES` working memory,
+    spread over ``workers`` threads; results are reduced in a fixed index
+    order, so the outputs do not depend on the worker count or chunk size.
     """
     top_ks = [int(k) for k in top_ks]
     if not top_ks:
@@ -136,17 +142,17 @@ def evaluate(
     cut_arr = np.asarray(cutoffs)
 
     n_q = len(queries)
-    workers = max(1, min(int(workers), n_q))
-    chunks = np.array_split(np.arange(n_q), workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(
-            pool.map(
-                lambda idx: _chunk_stats(queries.codes[idx], queries.labels[idx], db, cut_arr),
-                chunks,
-            )
-        )
-    hits = np.vstack([p[0] for p in parts])
-    ap = np.vstack([p[1] for p in parts])
+    rows = max(1, EVAL_CHUNK_BYTES // (40 * len(db)))
+    chunks = [slice(i, i + rows) for i in range(0, n_q, rows)]
+    db_codes = db.codes.astype(np.int64)  # widened once, not once per chunk
+    with ThreadPoolExecutor(max_workers=max(1, int(workers))) as pool:
+        parts = list(pool.map(
+            lambda s: _chunk_stats(queries.codes[s], queries.labels[s], db_codes, db.labels, cut_arr),
+            chunks,
+        ))
+    # Column-major like the stats of any multi-row chunk, so the means below
+    # sum each column in the same order however the queries were chunked.
+    hits, ap = (np.asfortranarray(np.vstack(stats)) for stats in zip(*parts))
 
     label_counts = np.bincount(db.labels, minlength=int(queries.labels.max()) + 1)
     totals = label_counts[queries.labels].astype(np.float64)

@@ -7,7 +7,6 @@ builds the matrix from per-class embedding vectors instead.
 """
 
 from array import array
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .core import (
 __all__ = [
     "MASK_GROUND_TRUTH",
     "MASK_ARGMAX",
-    "LogitRecord",
     "masked_softmax",
     "class_similarity_rows",
     "normalize_row",
@@ -45,76 +43,59 @@ MASK_ARGMAX = "argmax"
 _MASK_MODES = (MASK_GROUND_TRUTH, MASK_ARGMAX)
 
 
-@dataclass(frozen=True)
-class LogitRecord:
-    """One image's classifier output: opaque id, true label, raw logits."""
-
-    image_id: str
-    label: int
-    logits: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        arr = np.asarray(self.logits, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValidationError(f"logits must be a nonempty vector, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValidationError(f"record {self.image_id!r}: logits must be finite")
-        if self.label < 0:
-            raise ValidationError(f"record {self.image_id!r}: negative label {self.label}")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "logits", arr)
-
-
-def masked_softmax(logits, masked_index: int) -> np.ndarray:
-    """Softmax over all entries except ``masked_index``, which is pinned to 0.
+def masked_softmax(logits, masked) -> np.ndarray:
+    """Row-wise softmax of (N, C) logits with entry ``masked[i]`` of row i pinned to 0.
 
     The masked entry is excluded from the normalization (equivalent to
     setting its logit to -inf) and the rest use max-subtraction for
-    stability, so the output always sums to 1.
+    stability, so every output row sums to 1.
     """
     arr = np.asarray(logits, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValidationError(f"logits must be a vector, got shape {arr.shape}")
+    masked = np.asarray(masked)
+    if arr.ndim != 2:
+        raise ValidationError(f"logits must be an (N, C) matrix, got shape {arr.shape}")
+    N, C = arr.shape
+    if masked.shape != (N,):
+        raise DimensionMismatchError(f"{masked.shape} masked indices for {N} logit rows")
     if not np.isfinite(arr).all():
         raise ValidationError("logits must be finite")
-    C = arr.size
     if C < 2:
         raise DegenerateInputError("masked softmax needs at least 2 classes")
-    if not 0 <= masked_index < C:
-        raise ValidationError(f"masked index {masked_index} out of range for {C} classes")
-    keep = np.ones(C, dtype=bool)
-    keep[masked_index] = False
-    z = arr[keep]
-    e = np.exp(z - z.max())
-    out = np.zeros(C)
-    out[keep] = e / e.sum()
+    if ((masked < 0) | (masked >= C)).any():
+        raise ValidationError(f"masked indices must lie in [0, {C}), got {masked.min()}..{masked.max()}")
+    keep = np.ones((N, C), dtype=bool)
+    keep[np.arange(N), masked] = False
+    z = arr[keep].reshape(N, C - 1)
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    out = np.zeros((N, C))
+    out[keep] = z.ravel()
     return out
 
 
-def class_similarity_rows(records, C: int, mask: str = MASK_GROUND_TRUTH) -> np.ndarray:
-    """Mean masked-softmax vector per class; rows indexed by class id.
+def class_similarity_rows(labels, logits, mask: str = MASK_GROUND_TRUTH) -> np.ndarray:
+    """Mean masked-softmax vector per class over (N,) labels and (N, C) logits.
 
-    Every class 0..C-1 must have at least one record.  ``mask`` selects
-    whether each record masks its ground-truth label or its predicted
-    (argmax) class.
+    Rows are indexed by class id, and every class 0..C-1 must have at least
+    one record.  ``mask`` selects whether each record masks its ground-truth
+    label or its predicted (argmax) class.
     """
     if mask not in _MASK_MODES:
         raise ValidationError(f"mask must be one of {_MASK_MODES}, got {mask!r}")
-    sums = np.zeros((C, C))
-    counts = np.zeros(C, dtype=np.int64)
-    for rec in records:
-        if rec.logits.size != C:
-            raise DimensionMismatchError(
-                f"record {rec.image_id!r}: {rec.logits.size} logits for {C} classes"
-            )
-        if rec.label >= C:
-            raise ValidationError(f"record {rec.image_id!r}: label {rec.label} >= C={C}")
-        idx = rec.label if mask == MASK_GROUND_TRUTH else int(np.argmax(rec.logits))
-        sums[rec.label] += masked_softmax(rec.logits, idx)
-        counts[rec.label] += 1
+    labels = np.asarray(labels, dtype=np.int64)
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim != 2 or labels.shape != logits.shape[:1]:
+        raise DimensionMismatchError(f"labels of shape {labels.shape} for logits of shape {logits.shape}")
+    C = logits.shape[1]
+    if labels.size and not 0 <= labels.min() <= labels.max() < C:
+        raise ValidationError(f"labels must lie in [0, {C}), got {labels.min()}..{labels.max()}")
+    counts = np.bincount(labels, minlength=C)
     if (counts == 0).any():
         raise MissingClassError(np.nonzero(counts == 0)[0])
+    soft = masked_softmax(logits, labels if mask == MASK_GROUND_TRUTH else logits.argmax(axis=1))
+    sums = np.zeros((C, C))
+    np.add.at(sums, labels, soft)
     return sums / counts[:, None]
 
 
@@ -144,9 +125,9 @@ def symmetrize_and_unit_diag(rows) -> SimilarityMatrix:
     return SimilarityMatrix._symmetrized(arr)
 
 
-def build_similarity(records, C: int, mask: str = MASK_GROUND_TRUTH) -> SimilarityMatrix:
-    """Full logits-to-similarity pipeline for a labeled logit dataset."""
-    rows = class_similarity_rows(records, C, mask=mask)
+def build_similarity(labels, logits, mask: str = MASK_GROUND_TRUTH) -> SimilarityMatrix:
+    """Full logits-to-similarity pipeline over (N,) labels and (N, C) logits."""
+    rows = class_similarity_rows(labels, logits, mask=mask)
     normalized = np.stack([normalize_row(r) for r in rows])
     return symmetrize_and_unit_diag(normalized)
 
@@ -160,6 +141,8 @@ def cosine_similarity_matrix(embeddings) -> SimilarityMatrix:
         raise ValidationError(f"embeddings must be at least 1x1, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValidationError("embeddings must be finite")
+    # Scale each row by a power of two (exact) so the norm cannot overflow.
+    arr = np.ldexp(arr, -np.frexp(np.abs(arr).max(axis=1))[1][:, None])
     norms = np.linalg.norm(arr, axis=1)
     zero = np.nonzero(norms == 0.0)[0]
     if zero.size:
@@ -202,34 +185,38 @@ def _read_rows(fh, count: int, width: int, what: str) -> np.ndarray:
     return np.frombuffer(values).reshape(count, width)
 
 
-def read_logits(source) -> tuple[list[LogitRecord], int]:
-    """Parse a logit file: first line ``C=<int>``, then ``id,label,logit_0,...`` lines."""
+def read_logits(source) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a logit file into (N,) labels and (N, C) logits.
+
+    The first line is ``C=<int>``, then one ``id,label,logit_0,...`` line
+    per record; blank lines are skipped and the id column is ignored.
+    Logits are checked for finiteness once, by :func:`masked_softmax`.
+    """
     with _open_stream(source, "r") as fh:
         header = fh.readline()
         if not header:
             raise FormatError("empty logit file")
         C = _parse_header_int(header.strip(), "C", "logit file header")
-        records = []
+        labels, values = array("q"), array("d")
         for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
+            parts = line.strip().split(",")
+            if parts == [""]:
                 continue
-            parts = line.split(",")
             if len(parts) != 2 + C:
                 raise FormatError(
                     f"logit file line {lineno}: expected {2 + C} fields, got {len(parts)}"
                 )
             try:
                 label = int(parts[1])
-                logits = np.array([float(p) for p in parts[2:]])
+                values.extend(map(float, parts[2:]))
             except ValueError as exc:
                 raise FormatError(f"logit file line {lineno}: {exc}") from None
-            if not np.isfinite(logits).all():
-                raise FormatError(f"logit file line {lineno}: non-finite logit")
             if not 0 <= label < C:
                 raise FormatError(f"logit file line {lineno}: label {label} out of range")
-            records.append(LogitRecord(parts[0], label, logits))
-    return records, C
+            labels.append(label)
+    if not labels:
+        raise FormatError("logit file holds no records")
+    return np.frombuffer(labels, dtype=np.int64), np.frombuffer(values).reshape(len(labels), C)
 
 
 def read_embeddings(source) -> np.ndarray:

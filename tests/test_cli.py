@@ -17,7 +17,7 @@ from shc.core import (
     write_centers,
     write_codes,
 )
-from shc.similarity import read_embeddings, read_similarity, write_similarity
+from shc.similarity import read_embeddings, read_logits, read_similarity, write_similarity
 from shc.optimizer import quality_metrics
 from shc.core import SimilarityMatrix
 
@@ -33,13 +33,13 @@ def sim_file(tmp_path):
     return path
 
 
-def write_logit_file(path, C, per_class, seed=0):
+def write_logit_file(path, C, per_class, seed=0, boost=4.0):
     rng = np.random.default_rng(seed)
     lines = [f"C={C}"]
     for i in range(C * per_class):
         label = i % C
         logits = rng.normal(0, 1, C)
-        logits[label] += 4.0
+        logits[label] += boost
         lines.append(",".join([f"img{i}", str(label)] + [f"{v:.12g}" for v in logits]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -300,6 +300,8 @@ HOSTILE_FILES = {
     "codes-pad-bits": ("codes", b"SHCD" + _u32x2(1, 3) + bytes(4) + bytes([0b10100001])),
     "similarity-huge-header": ("similarity", b"100000000\n1,0\n0,1\n"),
     "embeddings-huge-header": ("embeddings", b"C=100000000,D=100000000\n1,0\n0,1\n"),
+    "logits-not-utf8": ("logits", b"C=2\nimg0,0,1.0,\xff\n"),
+    "similarity-not-utf8": ("similarity", b"\xfe\n"),
 }
 
 HOSTILE_READERS = {
@@ -307,6 +309,7 @@ HOSTILE_READERS = {
     "codes": read_codes,
     "similarity": read_similarity,
     "embeddings": read_embeddings,
+    "logits": read_logits,
 }
 
 
@@ -320,6 +323,7 @@ def hostile_argv(kind, path, tmp_path):
         "codes": ["eval", "--db", path, "--queries", path, "--out", out],
         "similarity": ["centers", "--sim", path, "--bits", "16", "--out", out],
         "embeddings": ["simmatrix", "--embeddings", path, "--out", out],
+        "logits": ["simmatrix", "--logits", path, "--out", out],
     }[kind]
 
 
@@ -342,6 +346,19 @@ class TestHostileInput:
         assert err.startswith("shc: error:") and err.count("\n") == 1, err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 8.00 EiB for an array", "Unable to allocate 8.00 EiB for an array"),
+        ("", "out of memory"),
+    ])
+    def test_out_of_memory_one_line_exit_1(self, message, line, tmp_path, sim_file, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("shc.cli.optimize", exhausted)
+        argv = ["centers", "--sim", str(sim_file), "--bits", "16", "--out", str(tmp_path / "c")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"shc: error: {line}\n"
+
 
 # sha256 of every file run_golden_pipeline writes (recorded with numpy 2.4
 # on x86-64).  Changes meant to keep the CLI's outputs must keep these bytes.
@@ -354,14 +371,16 @@ GOLDEN_SHA256 = {
     "emb.txt": "b34fbc4b49bb03456f1d77ba642afd06fbea86a9940a21cac1082170e78bb2c0",
     "eval.json": "037090327f167dd21ac27535569227000007258dfcd0f6316a4603cc67bbbff9",
     "logits.txt": "e8fa38f2197911689fbc70687caaa4b54e6d821213843ba6162cad19796fb70b",
+    "logits_weak.txt": "ec61d92571c92966148f3f55af526b3a6c7c611ca29927af5a692ece0e1eff2d",
     "queries.shcd": "5d65500b7e9b77e9d654ed0e2bc40478c0e8e822bed2988c73fffbd2c7c18f28",
     "sim_emb.txt": "923035c02f2c85bdee69782b59066d232077ce4f5be583bb0dc05305a48b8fa2",
     "sim_log.txt": "40b887519d919c639447fea136c2f88fc56e80107daaca5ba5ffd06dbdf3e5e6",
+    "sim_weak_argmax.txt": "284d1bf7458f860dcd7dddd99499f1db7c4365ff26c9bba0a115c240d7d5b375",
 }
 
 
 def run_golden_pipeline(tmp_path):
-    """simmatrix (embeddings and logits) -> centers --report -> eval, on seeded inputs."""
+    """simmatrix (embeddings, logits, argmax-masked logits) -> centers --report -> eval, on seeded inputs."""
     rng = np.random.default_rng(2025)
     emb = rng.normal(size=(10, 6))
     (tmp_path / "emb.txt").write_text(
@@ -369,6 +388,10 @@ def run_golden_pipeline(tmp_path):
         encoding="utf-8",
     )
     write_logit_file(tmp_path / "logits.txt", 5, 4, seed=2025)
+    # Unboosted logits, so the argmax often differs from the label and the masks disagree.
+    write_logit_file(tmp_path / "logits_weak.txt", 5, 8, seed=2026, boost=0.0)
+    assert main(["simmatrix", "--logits", str(tmp_path / "logits_weak.txt"), "--mask", "argmax",
+                 "--out", str(tmp_path / "sim_weak_argmax.txt")]) == 0
     for name, flag, source in (("emb", "--embeddings", "emb.txt"), ("log", "--logits", "logits.txt")):
         sim = str(tmp_path / f"sim_{name}.txt")
         assert main(["simmatrix", flag, str(tmp_path / source), "--out", sim]) == 0

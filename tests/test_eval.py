@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from shc import evaluation
 from shc.core import BinaryCode, CodeDatabase, DimensionMismatchError, ValidationError
 from shc.evaluation import (
     DEFAULT_PR_GRID,
@@ -186,6 +189,25 @@ class TestEvaluate:
         a = evaluate(queries, db, [1, 5], pr_grid=[1, 5, 10], workers=1)
         b = evaluate(queries, db, [1, 5], pr_grid=[1, 5, 10], workers=4)
         assert a == b
+
+    def test_chunk_budget_bounds_memory_not_results(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        db = random_db(rng, 5000, 16, 20)
+        queries = random_db(rng, 200, 16, 20)
+        monkeypatch.setattr(evaluation, "EVAL_CHUNK_BYTES", 1 << 40)
+        whole = evaluate(queries, db, [10, 5000], workers=1)
+        monkeypatch.setattr(evaluation, "EVAL_CHUNK_BYTES", 1)  # one query row per chunk
+        tracemalloc.start()
+        try:
+            rows = evaluate(queries, db, [10, 5000], workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == whole
+        assert evaluate(queries, db, [10, 5000], workers=3) == whole
+        # ranking all queries at once needs about 33 bytes per query x record pair
+        assert peak < len(queries) * len(db) * 33 / 10
+        assert peak > len(db) * 8  # it did see one query's int64 sort order
 
     def test_default_grid_used_when_unspecified(self):
         rng = np.random.default_rng(9)
