@@ -154,8 +154,10 @@ def evaluate(
     # sum each column in the same order however the queries were chunked.
     hits, ap = (np.asfortranarray(np.vstack(stats)) for stats in zip(*parts))
 
-    label_counts = np.bincount(db.labels, minlength=int(queries.labels.max()) + 1)
-    totals = label_counts[queries.labels].astype(np.float64)
+    # Relevant records per query label, from the labels present (never sized by a label value).
+    db_label, db_count = np.unique(db.labels, return_counts=True)
+    at = np.minimum(np.searchsorted(db_label, queries.labels), len(db_label) - 1)
+    totals = np.where(db_label[at] == queries.labels, db_count[at], 0).astype(np.float64)
 
     k_eff = np.minimum(cut_arr, len(db))
     precision_by_k = (hits / k_eff).mean(axis=0)

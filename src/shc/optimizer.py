@@ -85,14 +85,15 @@ class AlmHyperParams:
     inner: int = 3
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise ValidationError(f"mu must be >= 0, got {self.mu}")
-        if self.rho <= 0:
-            raise ValidationError(f"rho must be > 0, got {self.rho}")
-        if self.beta <= 0:
-            raise ValidationError(f"beta must be > 0, got {self.beta}")
-        if self.eta <= 0:
-            raise ValidationError(f"eta must be > 0, got {self.eta}")
+        # Written as "not in range" so that NaN, which fails every comparison, is rejected too.
+        if not 0 <= self.mu < np.inf:
+            raise ValidationError(f"mu must be finite and >= 0, got {self.mu}")
+        if not 0 < self.rho < np.inf:
+            raise ValidationError(f"rho must be finite and > 0, got {self.rho}")
+        if not 0 < self.beta < np.inf:
+            raise ValidationError(f"beta must be finite and > 0, got {self.beta}")
+        if not 0 < self.eta < np.inf:
+            raise ValidationError(f"eta must be finite and > 0, got {self.eta}")
         if self.cycles < 1:
             raise ValidationError(f"cycles must be >= 1, got {self.cycles}")
         if self.inner < 1:

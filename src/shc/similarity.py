@@ -6,7 +6,7 @@ out; average those distributions per class; shift/scale each class row to
 builds the matrix from per-class embedding vectors instead.
 """
 
-from array import array
+from itertools import chain
 
 import numpy as np
 
@@ -164,59 +164,52 @@ def _parse_header_int(text, key, what):
     return value
 
 
-def _read_rows(fh, count: int, width: int, what: str) -> np.ndarray:
-    """Parse the next ``count`` lines of ``width`` comma-separated reals into a (count, width) array.
+def _read_table(fh, what: str, width: int, count=None, head=(), converters=None) -> np.ndarray:
+    """Parse the rest of ``fh`` as rows of ``width`` comma-separated fields, with numpy's text reader.
 
-    Values go into one growable buffer as rows arrive, so a header that
-    promises more rows than the stream holds allocates nothing up front.
+    Lines holding only whitespace are skipped.  The leading ``head`` fields
+    (name, dtype) are followed by a float ``values`` field of the remaining
+    width; with ``count``, the table must hold exactly that many rows.  The
+    header's width is checked against the first row before it sizes the
+    record dtype, and no header count sizes an allocation.
     """
-    values = array("d")
-    for i in range(count):
-        line = fh.readline()
-        if not line:
-            raise FormatError(f"{what}: expected {count} rows, got {i}")
-        parts = line.strip().split(",")
-        if len(parts) != width:
-            raise FormatError(f"{what} row {i}: expected {width} values, got {len(parts)}")
-        try:
-            values.extend(map(float, parts))
-        except ValueError as exc:
-            raise FormatError(f"{what} row {i}: {exc}") from None
-    return np.frombuffer(values).reshape(count, width)
+    lines = (line for line in fh if not line.isspace())
+    first = next(lines, None)
+    if first is None:
+        raise FormatError(f"{what}: no rows after the header")
+    found = first.count(",") + 1
+    if found != width:
+        raise FormatError(f"{what} row 0: expected {width} values, got {found}")
+    dtype = np.dtype([*head, ("values", "<f8", (width - len(head),))])
+    try:
+        rows = np.loadtxt(chain([first], lines), dtype=dtype, delimiter=",", comments=None,
+                          converters=converters, ndmin=1)
+    except ValueError as exc:
+        raise FormatError(f"{what}: {str(exc).split(';')[0]}") from None
+    if count is not None and len(rows) != count:
+        raise FormatError(f"{what}: expected {count} rows, got {len(rows)}")
+    return rows
 
 
 def read_logits(source) -> tuple[np.ndarray, np.ndarray]:
     """Parse a logit file into (N,) labels and (N, C) logits.
 
     The first line is ``C=<int>``, then one ``id,label,logit_0,...`` line
-    per record; blank lines are skipped and the id column is ignored.
-    Logits are checked for finiteness once, by :func:`masked_softmax`.
+    per record; the id column is required and ignored, and labels are
+    integers in [0, C).  Logits are checked for finiteness once, by
+    :func:`masked_softmax`.
     """
     with _open_stream(source, "r") as fh:
         header = fh.readline()
         if not header:
             raise FormatError("empty logit file")
         C = _parse_header_int(header.strip(), "C", "logit file header")
-        labels, values = array("q"), array("d")
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            if parts == [""]:
-                continue
-            if len(parts) != 2 + C:
-                raise FormatError(
-                    f"logit file line {lineno}: expected {2 + C} fields, got {len(parts)}"
-                )
-            try:
-                label = int(parts[1])
-                values.extend(map(float, parts[2:]))
-            except ValueError as exc:
-                raise FormatError(f"logit file line {lineno}: {exc}") from None
-            if not 0 <= label < C:
-                raise FormatError(f"logit file line {lineno}: label {label} out of range")
-            labels.append(label)
-    if not labels:
-        raise FormatError("logit file holds no records")
-    return np.frombuffer(labels, dtype=np.int64), np.frombuffer(values).reshape(len(labels), C)
+        rows = _read_table(fh, "logit file", 2 + C, head=[("id", "u1"), ("label", "<i8")],
+                           converters={0: lambda _: 0})
+    labels = rows["label"]
+    if labels.min() < 0 or labels.max() >= C:
+        raise FormatError(f"logit file: labels must lie in [0, {C}), got {labels.min()}..{labels.max()}")
+    return labels, rows["values"]
 
 
 def read_embeddings(source) -> np.ndarray:
@@ -230,7 +223,7 @@ def read_embeddings(source) -> np.ndarray:
             raise FormatError(f"embedding header must be 'C=<int>,D=<int>', got {header.strip()!r}")
         C = _parse_header_int(fields[0], "C", "embedding header")
         D = _parse_header_int(fields[1], "D", "embedding header")
-        rows = _read_rows(fh, C, D, "embedding file")
+        rows = _read_table(fh, "embedding file", D, count=C)["values"]
         if not np.isfinite(rows).all():
             raise FormatError("embedding file: non-finite value")
     return rows
@@ -240,9 +233,7 @@ def write_similarity(matrix: SimilarityMatrix, sink) -> None:
     """Write a similarity matrix: first line C, then C comma-separated rows."""
     with _open_stream(sink, "w") as fh:
         fh.write(f"{matrix.C}\n")
-        for row in matrix.values:
-            fh.write(",".join(format(v, ".17g") for v in row))
-            fh.write("\n")
+        np.savetxt(fh, matrix.values, fmt="%.17g", delimiter=",")
 
 
 def read_similarity(source) -> SimilarityMatrix:
@@ -259,5 +250,5 @@ def read_similarity(source) -> SimilarityMatrix:
             ) from None
         if C < 1:
             raise FormatError(f"similarity class count must be positive, got {C}")
-        values = _read_rows(fh, C, C, "similarity file")
+        values = _read_table(fh, "similarity file", C, count=C)["values"]
     return SimilarityMatrix.snap(values)

@@ -1,12 +1,15 @@
 import hashlib
 import json
+import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shc
 from shc.cli import build_parser, main
 from shc.core import (
     CenterSet,
@@ -135,6 +138,16 @@ class TestCenters:
         assert report["d"] == 3
         assert report["hyperparameters"]["mu"] == 0.1
         assert len(report["objective_trace"]) == 5
+
+    @pytest.mark.parametrize("flag, value", [("--mu", "nan"), ("--rho", "nan"), ("--rho", "inf"),
+                                             ("--beta", "inf")])
+    def test_nonfinite_hyperparam_exits_1(self, flag, value, tmp_path, sim_file, capsys):
+        report_path = tmp_path / "r.json"
+        assert main(["centers", "--sim", str(sim_file), "--bits", "16", flag, value,
+                     "--out", str(tmp_path / "c.bin"), "--report", str(report_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("shc: error:") and err.count("\n") == 1, err
+        assert not report_path.exists()
 
     def test_no_distance_mode(self, tmp_path, sim_file):
         out = tmp_path / "c.bin"
@@ -276,10 +289,14 @@ class TestHelp:
 
 class TestEntryPoint:
     def test_python_m_invocation(self):
+        # the child imports the same shc as this test, installed or not
+        src = str(Path(shc.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "shc", "gvbound", "--bits", "64", "--classes", "555"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "21"
@@ -300,6 +317,8 @@ HOSTILE_FILES = {
     "codes-pad-bits": ("codes", b"SHCD" + _u32x2(1, 3) + bytes(4) + bytes([0b10100001])),
     "similarity-huge-header": ("similarity", b"100000000\n1,0\n0,1\n"),
     "embeddings-huge-header": ("embeddings", b"C=100000000,D=100000000\n1,0\n0,1\n"),
+    "similarity-trailing-rows": ("similarity", b"2\n1,0.5\n0.5,1\n9,9,9\n"),
+    "embeddings-trailing-rows": ("embeddings", b"C=2,D=2\n1,0\n0,1\n1,1\n"),
     "logits-not-utf8": ("logits", b"C=2\nimg0,0,1.0,\xff\n"),
     "similarity-not-utf8": ("similarity", b"\xfe\n"),
 }

@@ -209,6 +209,23 @@ class TestEvaluate:
         assert peak < len(queries) * len(db) * 33 / 10
         assert peak > len(db) * 8  # it did see one query's int64 sort order
 
+    def test_large_label_values_allocate_nothing_of_their_size(self):
+        # labels {0, 2^32-1} must rank and count like {0, 1}, not size an array by 2^32
+        rng = np.random.default_rng(12)
+        db = random_db(rng, 60, 16, 2)
+        queries = random_db(rng, 7, 16, 3)  # label 2 has no relevant records
+        big = np.array([0, 2**32 - 1, 2**32 - 2])
+        want = evaluate(queries, db, [5, 60], workers=1)
+        tracemalloc.start()
+        try:
+            got = evaluate(CodeDatabase(big[queries.labels], queries.codes),
+                           CodeDatabase(big[db.labels], db.codes), [5, 60], workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 1 << 20
+
     def test_default_grid_used_when_unspecified(self):
         rng = np.random.default_rng(9)
         db = random_db(rng, 30, 8, 3)

@@ -98,7 +98,8 @@ class TestHyperParams:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"mu": -0.1}, {"rho": 0.0}, {"beta": 0.0}, {"eta": 0.0}, {"cycles": 0}, {"inner": 0}],
+        [{"mu": -0.1}, {"rho": 0.0}, {"beta": 0.0}, {"eta": 0.0}, {"cycles": 0}, {"inner": 0}]
+        + [{name: value} for name in ("mu", "rho", "beta", "eta") for value in (np.nan, np.inf, -np.inf)],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValidationError):

@@ -321,6 +321,25 @@ class TestFiles:
             with pytest.raises(FormatError):
                 read_logits(io.StringIO(text))
 
+    def test_blank_lines_skipped(self):
+        S = read_similarity(io.StringIO("2\n\n1,0.5\n \t\n0.5,1\n\n"))
+        assert S.values.tolist() == [[1.0, 0.5], [0.5, 1.0]]
+        emb = read_embeddings(io.StringIO("C=2,D=2\n\n1,0\n\n0,1\n  \n"))
+        assert emb.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    def test_numpy_number_syntax(self):
+        # Python's float and int accept "_" digit separators and non-ASCII
+        # digits; numpy's text reader, which parses every table, does not.
+        for reader, text in (
+            (read_similarity, "1\n1_0\n"),
+            (read_embeddings, "C=1,D=2\n1_0,1\n"),
+            (read_embeddings, "C=1,D=2\n\u0663,1\n"),
+            (read_logits, "C=2\nimg0,1_0,1.0,2.0\n"),
+            (read_logits, "C=2\nimg0,0,1_0,2.0\n"),
+        ):
+            with pytest.raises(FormatError):
+                reader(io.StringIO(text))
+
     def test_nonfinite_logits_rejected_once_parsed(self):
         for value in ("nan", "-inf"):
             labels, logits = read_logits(io.StringIO(f"C=2\nimg0,0,1.0,2.0\nimg1,1,{value},2.0\n"))
