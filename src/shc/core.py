@@ -303,15 +303,34 @@ def _check_same_length(a: BinaryCode, b: BinaryCode) -> None:
         raise DimensionMismatchError(f"code lengths differ: {a.q} vs {b.q}")
 
 
-def _hamming(a, b) -> np.ndarray:
-    """Exact int64 Hamming distances between {-1,+1} rows, shaped like ``a @ b.T``."""
-    return (a.shape[-1] - a.astype(np.int64) @ b.T) // 2
+def _pack_words(rows) -> np.ndarray:
+    """Pack {-1,+1} rows MSB-first, as on disk, into (..., W) uint64 words.
+
+    W = ceil(q/64); zero bits pad the last word, so they never differ.
+    """
+    packed = pack_code_rows(rows)
+    packed = np.pad(packed, [(0, 0)] * (packed.ndim - 1) + [(0, -packed.shape[-1] % 8)])
+    return packed.view(np.uint64)
+
+
+def _hamming(a, b, q: int) -> np.ndarray:
+    """Exact Hamming distances between rows packed by :func:`_pack_words`.
+
+    Shaped like ``a @ b.T`` on the unpacked rows.  The popcounts of the
+    XOR-ed words are summed in the smallest unsigned dtype that holds q
+    (uint8 up to q = 255), so the distances stay exact and rank fast.
+    """
+    a = a.reshape(a.shape[:-1] + (1,) * (b.ndim - 1) + a.shape[-1:])
+    dist = np.bitwise_count(a[..., 0] ^ b[..., 0]).astype(np.min_scalar_type(q), copy=False)
+    for w in range(1, a.shape[-1]):
+        dist += np.bitwise_count(a[..., w] ^ b[..., w])
+    return dist
 
 
 def hamming_distance(a: BinaryCode, b: BinaryCode) -> int:
     """Number of positions where two equal-length codes differ."""
     _check_same_length(a, b)
-    return int(_hamming(a.bits, b.bits))
+    return int(_hamming(_pack_words(a.bits), _pack_words(b.bits), a.q))
 
 
 def inner_product(a: BinaryCode, b: BinaryCode) -> int:
@@ -322,8 +341,7 @@ def inner_product(a: BinaryCode, b: BinaryCode) -> int:
 
 def pack_code_rows(matrix) -> np.ndarray:
     """Pack (N, q) rows of {-1,+1} into (N, ceil(q/8)) bytes, MSB-first."""
-    arr = np.asarray(matrix)
-    return np.packbits((arr > 0).astype(np.uint8), axis=1)
+    return np.packbits(np.asarray(matrix) > 0, axis=-1)
 
 
 def unpack_code_rows(packed, q: int) -> np.ndarray:

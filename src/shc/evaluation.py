@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BinaryCode, CodeDatabase, DimensionMismatchError, ValidationError, _hamming
+from .core import (
+    BinaryCode,
+    CodeDatabase,
+    DimensionMismatchError,
+    ValidationError,
+    _hamming,
+    _pack_words,
+)
 
 __all__ = [
     "DEFAULT_PR_GRID",
@@ -33,10 +40,15 @@ DEFAULT_PR_GRID = tuple(
     + list(range(150, 501, 50))
 )
 
-# Working-memory budget of one query chunk.  Ranking a chunk holds about 40
-# bytes per (query x database record) pair, so eval memory is bounded by the
-# budget times the worker count, not by queries x records.
+# Working-memory budget of one query chunk, and the most a chunk holds per
+# (query x database record) pair, measured with tracemalloc: 25.2 bytes when
+# every record is relevant (three int64/float64 arrays per hit in
+# _hit_stats, the padded float64 AP sums, the bool relevance), 9-11 bytes
+# when 1% are (uint64 XOR words, uint8/uint16 distances, int64 sort order,
+# bool relevance).  Eval memory is bounded by the budget times the worker
+# count, not by queries x records.
 EVAL_CHUNK_BYTES = 64 << 20
+EVAL_BYTES_PER_PAIR = 26
 
 
 @dataclass(frozen=True)
@@ -73,7 +85,7 @@ def rank_database(query: BinaryCode, db: CodeDatabase) -> np.ndarray:
     """Record indices by ascending Hamming distance, ties by ascending index."""
     if query.q != db.q:
         raise DimensionMismatchError(f"query length {query.q} vs database length {db.q}")
-    return np.argsort(_hamming(db.codes, query.bits), kind="stable")
+    return np.argsort(_hamming(_pack_words(db.codes), _pack_words(query.bits), db.q), kind="stable")
 
 
 def average_precision(query_label: int, ranked_labels, k: int) -> float:
@@ -84,26 +96,49 @@ def average_precision(query_label: int, ranked_labels, k: int) -> float:
     """
     if k < 1:
         raise ValidationError(f"K must be >= 1, got {k}")
-    rel = np.asarray(ranked_labels)[:k] == query_label
-    hits = int(rel.sum())
-    if hits == 0:
-        return 0.0
-    precision = np.cumsum(rel) / np.arange(1, rel.size + 1)
-    return float((precision * rel).sum() / hits)
+    rel = np.asarray(ranked_labels)[None, :k] == query_label
+    return float(_hit_stats(rel, np.array([k]))[1][0, 0])
 
 
-def _chunk_stats(q_codes, q_labels, db_codes, db_labels, cutoffs):
-    """Per-query relevant-counts and AP at each cutoff, for a chunk of queries."""
-    N = len(db_labels)
-    order = np.argsort(_hamming(q_codes, db_codes), axis=1, kind="stable")
-    rel = db_labels[order] == q_labels[:, None]
-    cum = np.cumsum(rel, axis=1)
-    ap_num = np.cumsum(rel * (cum / np.arange(1, N + 1)), axis=1)
+def _hit_stats(rel, cutoffs):
+    """Relevant-counts and AP at each cutoff of ranked (rows, N) relevance.
+
+    Works on the positions of the hits alone.  The r-th hit of a row, at
+    0-based rank p, adds r/(p+1) to its row's AP numerator; the terms are
+    summed in rank order by a cumsum that restarts at each row, so every
+    value equals the dense ``cumsum(rel * cumsum(rel) / arange(1, N+1))``
+    bit for bit (a non-hit adds +0.0, which changes nothing).
+    """
+    rows, N = rel.shape
     at = np.minimum(cutoffs, N) - 1
-    hits = cum[:, at]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ap = np.where(hits > 0, ap_num[:, at] / hits, 0.0)
+    flat = np.flatnonzero(rel)  # row * N + rank of every hit, in row-major order
+    base = np.arange(rows) * N
+    first = np.searchsorted(flat, base)  # index in flat of each row's first hit
+    hits = np.searchsorted(flat, base[:, None] + at, side="right") - first[:, None]
+    count = np.diff(first, append=flat.size)
+    width = 1 + int(count.max())  # column 0 of num holds the empty sum
+    # In-place steps keep at most three hit-sized int64/float64 arrays alive.
+    flat -= np.repeat(base - 1, count)  # p + 1
+    nth = np.arange(1, flat.size + 1)
+    nth -= np.repeat(first, count)  # r
+    terms = nth / flat
+    del flat
+    nth += np.repeat(np.arange(rows) * width, count)  # flat index of (row, r) in num
+    num = np.zeros((rows, width))
+    num.reshape(-1)[nth] = terms
+    np.cumsum(num, axis=1, out=num)
+    ap = np.divide(num[np.arange(rows)[:, None], hits], hits, out=np.zeros(hits.shape), where=hits > 0)
     return hits, ap
+
+
+def _chunk_stats(q_words, q_labels, db_words, db_labels, q, cutoffs):
+    """Per-query relevant-counts and AP at each cutoff, for a chunk of packed queries."""
+    order = np.argsort(_hamming(q_words, db_words, q), axis=1, kind="stable")
+    rel = np.empty(order.shape, dtype=bool)
+    for i, label in enumerate(q_labels):  # a row at a time: faster than one fancy-indexed gather
+        np.take(db_labels == label, order[i], out=rel[i])
+    del order
+    return _hit_stats(rel, cutoffs)
 
 
 def evaluate(
@@ -142,12 +177,14 @@ def evaluate(
     cut_arr = np.asarray(cutoffs)
 
     n_q = len(queries)
-    rows = max(1, EVAL_CHUNK_BYTES // (40 * len(db)))
+    rows = max(1, EVAL_CHUNK_BYTES // (EVAL_BYTES_PER_PAIR * len(db)))
     chunks = [slice(i, i + rows) for i in range(0, n_q, rows)]
-    db_codes = db.codes.astype(np.int64)  # widened once, not once per chunk
+    db_words = _pack_words(db.codes)  # packed once, not once per chunk
     with ThreadPoolExecutor(max_workers=max(1, int(workers))) as pool:
         parts = list(pool.map(
-            lambda s: _chunk_stats(queries.codes[s], queries.labels[s], db_codes, db.labels, cut_arr),
+            lambda s: _chunk_stats(
+                _pack_words(queries.codes[s]), queries.labels[s], db_words, db.labels, db.q, cut_arr
+            ),
             chunks,
         ))
     # Column-major like the stats of any multi-row chunk, so the means below

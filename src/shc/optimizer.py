@@ -32,6 +32,7 @@ from .core import (
     SimilarityMatrix,
     ValidationError,
     _hamming,
+    _pack_words,
 )
 
 __all__ = [
@@ -226,23 +227,24 @@ def init_centers(q: int, C: int, d: int, seed: int, method: str = INIT_GREEDY) -
 
     rng = np.random.default_rng(seed)
     rows = np.empty((C, q), dtype=np.int8)
+    words = np.empty((C, (q + 63) // 64), dtype=np.uint64)  # rows[:filled], packed
     filled = 0
     while filled < C:
         cand = (rng.integers(0, 2, size=(_CANDIDATES_PER_SLOT, q), dtype=np.int8) * 2) - 1
         if filled == 0:
             rows[0] = cand[0]
-            filled = 1
-            continue
-        min_dist = _hamming(cand, rows[:filled]).min(axis=1)
-        qualified = np.nonzero(min_dist >= d)[0]
-        if qualified.size:
-            rows[filled] = cand[qualified[0]]
         else:
-            best = int(np.argmax(min_dist))
-            if min_dist[best] == 0:
-                rows[filled] = _exhaustive_max_min(rows[:filled], q)
+            min_dist = _hamming(_pack_words(cand), words[:filled], q).min(axis=1)
+            qualified = np.nonzero(min_dist >= d)[0]
+            if qualified.size:
+                rows[filled] = cand[qualified[0]]
             else:
-                rows[filled] = cand[best]
+                best = int(np.argmax(min_dist))
+                if min_dist[best] == 0:
+                    rows[filled] = _exhaustive_max_min(words[:filled], q)
+                else:
+                    rows[filled] = cand[best]
+        words[filled] = _pack_words(rows[filled])
         filled += 1
 
     bad = _count_close_pairs(rows, d)
@@ -255,7 +257,7 @@ def init_centers(q: int, C: int, d: int, seed: int, method: str = INIT_GREEDY) -
 
 
 def _exhaustive_max_min(accepted: np.ndarray, q: int) -> np.ndarray:
-    """All 200 candidates collided with accepted centers; enumerate instead.
+    """All 200 candidates collided with the accepted centers (packed words); enumerate instead.
 
     Only reachable for tiny q, where the codeword space is nearly full.
     """
@@ -263,7 +265,7 @@ def _exhaustive_max_min(accepted: np.ndarray, q: int) -> np.ndarray:
         raise ShcError("could not draw a candidate distinct from accepted centers")
     codes = ((np.arange(2**q, dtype=np.int64)[:, None] >> np.arange(q - 1, -1, -1)) & 1)
     codes = (codes.astype(np.int8) * 2) - 1
-    return codes[int(np.argmax(_hamming(codes, accepted).min(axis=1)))]
+    return codes[int(np.argmax(_hamming(_pack_words(codes), accepted, q).min(axis=1)))]
 
 
 def _hadamard_centers(q: int, C: int, d: int) -> CenterSet:

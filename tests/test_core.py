@@ -22,6 +22,7 @@ from shc.core import (
     write_centers,
     write_codes,
 )
+from shc.core import _hamming, _pack_words
 
 
 def code(*bits):
@@ -107,6 +108,47 @@ class TestHammingAndInner:
         bits_b = [rnd.choice((-1, 1)) for _ in range(q)]
         a, b = BinaryCode(bits_a), BinaryCode(bits_b)
         assert 2 * hamming_distance(a, b) == q - inner_product(a, b)
+
+
+def hamming_oracle(a, b):
+    """Reference distances: the int64 {-1,+1} inner product, shaped like ``a @ b.T``."""
+    return (a.shape[-1] - a.astype(np.int64) @ b.T) // 2
+
+
+class TestPackedHammingKernel:
+    @pytest.mark.parametrize("q", [1, 7, 8, 9, 63, 64, 65, 255, 256, 300])
+    def test_matches_matmul_oracle(self, q):
+        rng = np.random.default_rng(q)
+        a = (rng.integers(0, 2, (6, q)) * 2 - 1).astype(np.int8)
+        b = (rng.integers(0, 2, (9, q)) * 2 - 1).astype(np.int8)
+        b[0] = -a[0]  # complementary rows lie at distance exactly q: wraps a uint8 sum above 255
+        b[1] = a[1]
+        pa, pb = _pack_words(a), _pack_words(b)
+        cases = [(a, b, pa, pb), (a[2], b, pa[2], pb), (a, b[3], pa, pb[3]), (a[0], b[0], pa[0], pb[0])]
+        for x, y, px, py in cases:
+            got, want = _hamming(px, py, q), hamming_oracle(x, y)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
+        assert _hamming(pa, pb, q)[0, 0] == q
+        assert _hamming(pa, pb, q)[1, 1] == 0
+
+    @pytest.mark.parametrize(
+        "q, dtype", [(64, np.uint8), (255, np.uint8), (256, np.uint16), (65535, np.uint16), (65536, np.uint32)]
+    )
+    def test_smallest_dtype_that_holds_q(self, q, dtype):
+        a = np.ones((1, q), dtype=np.int8)
+        dist = _hamming(_pack_words(a), _pack_words(-a), q)
+        assert dist.dtype == dtype
+        assert dist.tolist() == [[q]]
+
+    @pytest.mark.parametrize("q", [1, 9, 64, 65, 130])
+    def test_words_are_the_disk_packing_zero_padded(self, q):
+        rows = (np.random.default_rng(q).integers(0, 2, (3, q)) * 2 - 1).astype(np.int8)
+        words = _pack_words(rows)
+        assert words.dtype == np.uint64 and words.shape == (3, (q + 63) // 64)
+        raw = words.view(np.uint8)
+        assert np.array_equal(raw[:, : (q + 7) // 8], pack_code_rows(rows))
+        assert not raw[:, (q + 7) // 8 :].any()
 
 
 class TestPacking:

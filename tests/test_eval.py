@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from shc import evaluation
-from shc.core import BinaryCode, CodeDatabase, DimensionMismatchError, ValidationError
+from shc.core import BinaryCode, CodeDatabase, DimensionMismatchError, ValidationError, _pack_words
 from shc.evaluation import (
     DEFAULT_PR_GRID,
     average_precision,
@@ -53,6 +53,25 @@ def naive_metrics(queries, db, ks):
     return {k: np.array(v) for k, v in out.items()}
 
 
+def dense_ap(rel, cutoffs):
+    """Reference relevant-counts and AP at each cutoff: cumsums over every ranked position."""
+    N = rel.shape[1]
+    cum = np.cumsum(rel, axis=1)
+    ap_num = np.cumsum(rel * (cum / np.arange(1, N + 1)), axis=1)
+    at = np.minimum(cutoffs, N) - 1
+    hits = cum[:, at]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ap = np.where(hits > 0, ap_num[:, at] / hits, 0.0)
+    return hits, ap
+
+
+def dense_chunk_stats(q_codes, q_labels, db_codes, db_labels, cutoffs):
+    """Reference chunk statistics: int64 matmul distances, full sort order, dense AP."""
+    dist = (q_codes.shape[1] - q_codes.astype(np.int64) @ db_codes.astype(np.int64).T) // 2
+    order = np.argsort(dist, axis=1, kind="stable")
+    return dense_ap(db_labels[order] == q_labels[:, None], cutoffs)
+
+
 class TestRankDatabase:
     def test_exact_match_first(self):
         rng = np.random.default_rng(0)
@@ -97,6 +116,40 @@ class TestAveragePrecision:
     def test_k_validation(self):
         with pytest.raises(ValidationError):
             average_precision(1, [1], 0)
+
+
+class TestChunkStats:
+    @pytest.mark.parametrize(
+        "seed, n_q, N, q, classes, cutoffs",
+        [
+            (0, 7, 300, 16, 5, [1, 2, 5, 10, 100, 300]),
+            (1, 12, 1000, 64, 40, [1, 50, 999, 1000]),
+            (2, 5, 120, 300, 3, [1, 7, 120]),
+            (3, 9, 40, 9, 2, [3, 40, 41, 500, 10**6]),  # cutoffs above N
+            (4, 6, 1, 8, 2, [1, 2, 5]),  # N = 1
+            (5, 4, 500, 32, 1, [1, 250, 500]),  # every record relevant to most queries
+        ],
+    )
+    def test_bit_identical_to_dense_cumsums(self, seed, n_q, N, q, classes, cutoffs):
+        rng = np.random.default_rng(seed)
+        db = random_db(rng, N, q, classes)
+        queries = random_db(rng, n_q, q, classes)
+        q_labels = np.r_[classes, queries.labels[1:]]  # query 0's label is absent from the database
+        cut = np.asarray(cutoffs)
+        hits, ap = evaluation._chunk_stats(
+            _pack_words(queries.codes), q_labels, _pack_words(db.codes), db.labels, q, cut
+        )
+        want_hits, want_ap = dense_chunk_stats(queries.codes, q_labels, db.codes, db.labels, cut)
+        assert hits.tolist() == want_hits.tolist()
+        assert ap.dtype == want_ap.dtype and ap.tobytes() == want_ap.tobytes()
+        assert not hits[0].any()
+
+    def test_average_precision_is_the_same_formula(self):
+        rng = np.random.default_rng(13)
+        for labels in rng.integers(0, 3, (20, 400)):
+            for k in (1, 10, 37, 400, 1000):
+                want = dense_ap((labels == 1)[None, :], np.array([k]))[1][0, 0]
+                assert average_precision(1, labels, k) == want
 
 
 class TestEvaluate:
