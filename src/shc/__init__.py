@@ -36,6 +36,7 @@ from .optimizer import (
     ablation_optimize,
     alm_objective,
     center_gradient,
+    descend,
     init_centers,
     optimize,
     quality_metrics,
@@ -90,6 +91,7 @@ __all__ = [
     "update_center",
     "update_multipliers",
     "optimize",
+    "descend",
     "ablation_optimize",
     "quality_metrics",
     "LossConfig",

@@ -28,7 +28,8 @@ from .optimizer import (
     INIT_GREEDY,
     INIT_HADAMARD,
     ablation_optimize,
-    optimize,
+    descend,
+    init_centers,
     quality_metrics,
     violation_count,
 )
@@ -76,6 +77,7 @@ _HP_HELP = {
     "cycles": "outer cycles",
     "inner": "gradient steps per column",
 }
+_NO_DISTANCE_HP = ("mu", "cycles")  # the only hyperparameters a CLI path uses
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,7 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "centers",
         help="generate hash centers from a similarity matrix",
-        description="Generate binary hash centers and write them as a packed centers file.",
+        description="Generate binary hash centers (greedy or Hadamard init, then a single-bit-flip descent "
+        "that keeps the distance target) and write them as a packed centers file.",
     )
     p.add_argument("--sim", required=True, metavar="FILE", help="similarity matrix file")
     p.add_argument("--bits", type=int, required=True, metavar="Q", help="code length in bits")
@@ -126,12 +129,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="FILE", help="output centers file")
     p.add_argument("--seed", type=int, default=0, help="random seed (default: %(default)s)")
     for field in dataclasses.fields(AlmHyperParams):
+        use = "--no-distance only" if field.name in _NO_DISTANCE_HP else "checked, used by no command"
         p.add_argument(f"--{field.name}", type=field.type, default=field.default,
-                       help=f"{_HP_HELP[field.name]} (default: %(default)s)")
+                       help=f"{use}: {_HP_HELP[field.name]} (default: %(default)s)")
     p.add_argument(
         "--no-distance",
         action="store_true",
-        help="drop the distance constraint (similarity-only alternating updates)",
+        help="drop the distance constraint (similarity-only alternating updates instead of the descent)",
     )
     p.add_argument(
         "--init",
@@ -205,20 +209,22 @@ def _cmd_centers(args) -> int:
             if args.min_dist == "auto"
             else args.min_dist
         )
-        centers, trace = optimize(matrix, args.bits, target, hp, seed=args.seed, init=args.init)
+        init = init_centers(args.bits, matrix.C, target, args.seed, method=args.init)
+        centers, trace = descend(matrix, init, target)
     write_centers(centers, args.out)
     d_min, s_loss = quality_metrics(centers, matrix)
     log.info("wrote %d centers (q=%d, d_min=%s, s_loss=%.6g) to %s",
              centers.C, centers.q, d_min, s_loss, args.out)
     if args.report:
         report = {
+            "method": "no-distance" if args.no_distance else "descent",
             "d": target,
             "d_min": d_min,
             "s_loss": s_loss,
             "objective_trace": trace,
             "violations": violation_count(centers, target) if target is not None else None,
             "seed": args.seed,
-            "hyperparameters": dataclasses.asdict(hp),
+            "hyperparameters": dataclasses.asdict(hp) if args.no_distance else None,
         }
         with open(args.report, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)

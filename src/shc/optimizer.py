@@ -1,9 +1,13 @@
-"""Hash-center generation by augmented-Lagrangian alternating minimization.
+"""Hash-center generation: single-bit-flip descent, or the paper's augmented-Lagrangian method.
 
 Given a C x C class-similarity matrix S and a code length q, this module
 searches for C codewords h_i in {-1,+1}^q whose normalized Gram matrix
 (1/q) H^T H tracks S while every pair keeps Hamming distance >= d
-(equivalently h_i^T h_j <= q - 2d).  The constrained problem
+(equivalently h_i^T h_j <= q - 2d).
+
+:func:`descend` lowers the similarity loss ||S - (1/q) H^T H||_F^2 from a
+given start one bit at a time and never brings a pair below d.
+:func:`optimize` is the paper's method.  The constrained problem
 
     min  ||S - (1/q) H^T H||_F^2  +  mu * sum_{i != j} h_i^T h_j
     s.t. h_i^T h_j <= q - 2d   (i != j),   h_i in {-1,+1}^q
@@ -22,7 +26,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, hadamard
 
 from .core import (
     CenterSet,
@@ -48,6 +51,7 @@ __all__ = [
     "update_center",
     "update_multipliers",
     "optimize",
+    "descend",
     "ablation_optimize",
     "quality_metrics",
     "constrained_objective",
@@ -182,8 +186,11 @@ def _gram_stats(rows, Sv=None) -> tuple[float | None, float, np.ndarray]:
     exact.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    q = rows.shape[1]
-    G = rows @ rows.T
+    return _stats_of_gram(rows @ rows.T, rows.shape[1], Sv)
+
+
+def _stats_of_gram(G: np.ndarray, q: int, Sv=None) -> tuple[float | None, float, np.ndarray]:
+    """:func:`_gram_stats` from a Gram matrix G of exact integers (float or int) of length-q rows."""
     s_loss = None
     if Sv is not None:
         fit = Sv - G / q
@@ -273,7 +280,7 @@ def _hadamard_centers(q: int, C: int, d: int) -> CenterSet:
         raise ValidationError(f"hadamard init needs a power-of-two code length, got q={q}")
     if C > 2 * q:
         raise ValidationError(f"hadamard init supports at most 2q={2 * q} classes, got C={C}")
-    rows = hadamard(q).astype(np.int8)
+    rows = _sylvester_hadamard(q)
     pool = np.vstack([rows, -rows])
     centers = pool[:C]
     bad = _count_close_pairs(centers, d)
@@ -283,6 +290,14 @@ def _hadamard_centers(q: int, C: int, d: int) -> CenterSet:
             bad, d, q // 2,
         )
     return CenterSet(centers)
+
+
+def _sylvester_hadamard(q: int) -> np.ndarray:
+    """The q x q Sylvester Hadamard matrix (q a power of two) in int8, as scipy.linalg.hadamard builds it."""
+    rows = np.ones((1, 1), dtype=np.int8)
+    while rows.shape[0] < q:
+        rows = np.block([[rows, rows], [rows, -rows]])
+    return rows
 
 
 def alm_objective(state: AlmState, S, hp: AlmHyperParams) -> float:
@@ -320,6 +335,8 @@ def update_proxy(state: AlmState, S, hp: AlmHyperParams) -> np.ndarray:
     Solves the SPD system ((2/q^2) H H^T + rho I) m_i = (2/q) H s_i +
     lambda_i + rho h_i for every column.
     """
+    from scipy.linalg import cho_factor, cho_solve  # only the ALM paths need scipy; keeps CLI start-up light
+
     Sv = _sim_values(S, state.C)
     q = state.q
     H = state.H
@@ -466,6 +483,60 @@ def optimize(
     return CenterSet(best_H.T.astype(np.int8)), trace
 
 
+def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
+    """Lower the similarity loss of ``centers`` one bit at a time, never bringing a pair below d.
+
+    Discrete cyclic coordinate descent on the bits (as in Shen et al.,
+    "Supervised Discrete Hashing", CVPR 2015) on s_loss = ||S - G/q||_F^2,
+    G = H H^T, with G kept as exact integers.  A sweep visits each center
+    i once.  With r = S[i] - G[i]/q and r_i = 0, flipping bit k of h_i
+    changes s_loss by (8/q) (h_ik (r @ H)_k + (C-1)/q).  A flip is allowed
+    only if every tight pair j (G_ij > q - 2d - 2, distance <= d) has the
+    same bit k, so the flip moves those pairs apart; the best allowed flip
+    that lowers s_loss by more than rounding (8e-9 C/q, times max |S| when
+    that exceeds 1) is applied and row and column i of G are updated.  Hence
+    the count of pairs closer than d never rises, and an exact tie can not
+    flip back and forth for ever.  Sweeps repeat until one flips nothing, so
+    on return no allowed single flip lowers s_loss by more than that margin.
+    Returns the centers and the s_loss after each sweep.  Deterministic.
+    """
+    Sv = _sim_values(S, centers.C)
+    C, q = centers.C, centers.q
+    if not 1 <= d <= q:
+        raise ValidationError(f"d must lie in [1, {q}], got {d}")
+    sym = 0.5 * (Sv + Sv.T)  # equals Sv when S is symmetric; otherwise gives the same s_loss changes
+    H = centers.matrix.astype(np.float64)
+    G = centers.matrix.astype(np.int64) @ centers.matrix.T.astype(np.int64)
+    tight_above = q - 2 * d - 2
+    # far above the rounding error of r @ H, so each applied flip really lowers s_loss
+    lowers = -(C - 1) / q - 1e-9 * C * max(1.0, float(np.abs(sym).max()))
+    trace = []
+    flips = 1
+    while flips:
+        flips = 0
+        for i in range(C):
+            r = sym[i] - G[i] / q
+            r[i] = 0.0
+            gain = (r @ H) * H[i]
+            gain[(H[G[i] > tight_above] != H[i]).any(axis=0)] = np.inf
+            k = int(np.argmin(gain))
+            if gain[k] < lowers:
+                step = (-2.0 * H[i, k] * H[:, k]).astype(np.int64)
+                step[i] = 0
+                G[i] += step
+                G[:, i] += step
+                H[i, k] = -H[i, k]
+                flips += 1
+        s_loss, _, dist = _stats_of_gram(G, q, Sv)
+        trace.append(s_loss)
+        log.info(
+            "descend: sweep %d flipped %d bits, s_loss=%.6g, d_min=%s, violations=%d",
+            len(trace), flips, s_loss, int(dist.min()) if dist.size else None,
+            np.count_nonzero(dist < d),
+        )
+    return CenterSet(H.astype(np.int8)), trace
+
+
 def ablation_optimize(
     S,
     q: int,
@@ -484,6 +555,8 @@ def ablation_optimize(
     ``initial`` overrides the seeded init (shared fixed points are easiest
     to exercise that way).
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     Sv = _sim_values(S)
     C = Sv.shape[0]
     if hp.mu <= 0:

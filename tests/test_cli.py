@@ -1,6 +1,9 @@
+import dataclasses
 import hashlib
 import json
+import logging
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -21,7 +24,8 @@ from shc.core import (
     write_codes,
 )
 from shc.similarity import read_embeddings, read_logits, read_similarity, write_similarity
-from shc.optimizer import quality_metrics
+from shc.gv import compute_min_distance
+from shc.optimizer import AlmHyperParams, init_centers, optimize, quality_metrics, violation_count
 from shc.core import SimilarityMatrix
 
 
@@ -120,24 +124,50 @@ class TestCenters:
                      "--out", str(out), "--seed", "1", "--report", str(report_path)]) == 0
         report = json.loads(report_path.read_text())
         assert set(report) == {
-            "d", "d_min", "s_loss", "objective_trace", "violations", "seed", "hyperparameters",
+            "method", "d", "d_min", "s_loss", "objective_trace", "violations", "seed",
+            "hyperparameters",
         }
+        assert report["method"] == "descent"
+        assert report["hyperparameters"] is None
         assert report["seed"] == 1
-        assert report["d"] >= 1
-        assert len(report["objective_trace"]) == report["hyperparameters"]["cycles"]
+        assert report["violations"] == 0 and report["d_min"] >= report["d"] >= 1
+        # s_loss after each sweep: never rising, the last sweep flips nothing
+        trace = report["objective_trace"]
+        assert len(trace) >= 1 and trace[-1] == report["s_loss"]
+        assert all(b <= a for a, b in zip(trace, trace[1:]))
+        init = init_centers(16, 8, report["d"], 1)
+        assert report["s_loss"] < quality_metrics(init, read_similarity(sim_file))[1]
         centers = read_centers(out)
         assert centers.C == 8 and centers.q == 16
 
     def test_explicit_min_dist_and_hyperparams(self, tmp_path, sim_file):
         out = tmp_path / "c.bin"
         report_path = tmp_path / "r.json"
-        assert main(["centers", "--sim", str(sim_file), "--bits", "16",
-                     "--min-dist", "3", "--mu", "0.1", "--cycles", "5",
-                     "--out", str(out), "--report", str(report_path)]) == 0
+        args = ["centers", "--sim", str(sim_file), "--bits", "16", "--min-dist", "3",
+                "--mu", "0.1", "--cycles", "5", "--out", str(out), "--report", str(report_path)]
+        assert main(args) == 0
         report = json.loads(report_path.read_text())
         assert report["d"] == 3
+        assert report["violations"] == 0
+        # the hyperparameters are checked but do not steer the descent
+        assert report["hyperparameters"] is None
+        assert main(args + ["--no-distance"]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["method"] == "no-distance"
         assert report["hyperparameters"]["mu"] == 0.1
-        assert len(report["objective_trace"]) == 5
+        assert report["hyperparameters"]["cycles"] == 5
+
+    def test_verbose_logs_one_line_per_sweep(self, tmp_path, sim_file, caplog):
+        report_path = tmp_path / "r.json"
+        with caplog.at_level(logging.INFO, logger="shc.optimizer"):
+            assert main(["-v", "centers", "--sim", str(sim_file), "--bits", "16",
+                         "--out", str(tmp_path / "c.bin"), "--report", str(report_path)]) == 0
+        sweeps = [r.getMessage() for r in caplog.records if r.getMessage().startswith("descend: sweep")]
+        trace = json.loads(report_path.read_text())["objective_trace"]
+        assert len(sweeps) == len(trace)
+        assert sweeps[-1].startswith(f"descend: sweep {len(trace)} flipped 0 bits")
+        for line in sweeps:
+            assert "s_loss=" in line and "d_min=" in line
 
     @pytest.mark.parametrize("flag, value", [("--mu", "nan"), ("--rho", "nan"), ("--rho", "inf"),
                                              ("--beta", "inf")])
@@ -287,19 +317,37 @@ class TestHelp:
             assert command in text
 
 
+def run_python(args):
+    """Run a child interpreter that imports the same shc as this test, installed or not."""
+    src = str(Path(shc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 class TestEntryPoint:
     def test_python_m_invocation(self):
-        # the child imports the same shc as this test, installed or not
-        src = str(Path(shc.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "shc", "gvbound", "--bits", "64", "--classes", "555"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = run_python(["-m", "shc", "gvbound", "--bits", "64", "--classes", "555"])
         assert proc.returncode == 0
         assert proc.stdout.strip() == "21"
+
+    def test_cli_import_leaves_scipy_out(self):
+        proc = run_python(["-c", "import sys, shc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_default_centers_run_leaves_scipy_out(self, tmp_path, sim_file):
+        code = (
+            "import sys; from shc.cli import main; "
+            f"rc = main(['centers', '--sim', {str(sim_file)!r}, '--bits', '16', '--out', {str(tmp_path / 'c')!r}]); "
+            "print(rc, 'scipy' in sys.modules)"
+        )
+        proc = run_python(["-c", code])
+        assert proc.stdout.strip() == "0 False", proc.stderr
 
 
 def _u32x2(a, b):
@@ -373,7 +421,7 @@ class TestHostileInput:
         def exhausted(*args, **kwargs):
             raise MemoryError(message)
 
-        monkeypatch.setattr("shc.cli.optimize", exhausted)
+        monkeypatch.setattr("shc.cli.descend", exhausted)
         argv = ["centers", "--sim", str(sim_file), "--bits", "16", "--out", str(tmp_path / "c")]
         assert main(argv) == 1
         assert capsys.readouterr().err == f"shc: error: {line}\n"
@@ -382,24 +430,43 @@ class TestHostileInput:
 # sha256 of every file run_golden_pipeline writes (recorded with numpy 2.4
 # on x86-64).  Changes meant to keep the CLI's outputs must keep these bytes.
 GOLDEN_SHA256 = {
-    "centers_emb.json": "360e27eca713fa4cd4cea7ea414645a1109e8b00fc476c5b0d1c7209d7f980f9",
-    "centers_emb.shc": "4cb7f220f6ca3758ff7e918503dcefddb0f0613e9d63b2435e11a17888260808",
-    "centers_log.json": "a16344b0c23282293992d0b5a7f42568aed3b60173dbc93c09e5c591c38653fd",
-    "centers_log.shc": "4b557ac569250f782ceb12dfbca622eb873e93ebcbc7b36dd8b3f0e9098bdbe3",
-    "db.shcd": "e88ee155f5aba9688d33d8ee62d3d83693288feb2a15333c77bda64c8cc8e6fa",
+    "centers_emb.json": "10fb33911f500ecde82c1166350663f202d6b6ec12eb6d4c8873f9585ab564a8",
+    "centers_emb.shc": "45a5f770322843fa7d2dcb0f1ec1b6337a09a9b992cbc4c46a8d194d053d4043",
+    "centers_log.json": "acacf5331b5c5dd2575bcfec772be019bda7b8035a0fff7ff1f34597386e2b0c",
+    "centers_log.shc": "c86f314d1467ec57dfbbf2799ab56451ac0200d7cb9a6efce4bd82b6e48f9e47",
+    "centers_nodist.json": "b1b5357574dbfbf80f425f965927cccbd1d0a6899a2393f49b77ecd545669289",
+    "centers_nodist.shc": "f846fed422c4f2f590690c8c9774760614bad347ea55e9e6cf05ef6a85ff7bc6",
+    "db.shcd": "4013f70cb802dcaf048867b603e4f9bf7e3639c61276474ca81ceeb080a405d7",
     "emb.txt": "b34fbc4b49bb03456f1d77ba642afd06fbea86a9940a21cac1082170e78bb2c0",
-    "eval.json": "037090327f167dd21ac27535569227000007258dfcd0f6316a4603cc67bbbff9",
+    "eval.json": "e0e8f955fcc8a4b778784b9ee61ebe0510897dfe8a2cafe982074f38f6b47107",
     "logits.txt": "e8fa38f2197911689fbc70687caaa4b54e6d821213843ba6162cad19796fb70b",
     "logits_weak.txt": "ec61d92571c92966148f3f55af526b3a6c7c611ca29927af5a692ece0e1eff2d",
-    "queries.shcd": "5d65500b7e9b77e9d654ed0e2bc40478c0e8e822bed2988c73fffbd2c7c18f28",
+    "queries.shcd": "472d83fb0233bf701b8c2f49d9a6f8b5ccf381e58b24dcf2b6a67ebe0370167e",
     "sim_emb.txt": "923035c02f2c85bdee69782b59066d232077ce4f5be583bb0dc05305a48b8fa2",
     "sim_log.txt": "40b887519d919c639447fea136c2f88fc56e80107daaca5ba5ffd06dbdf3e5e6",
     "sim_weak_argmax.txt": "284d1bf7458f860dcd7dddd99499f1db7c4365ff26c9bba0a115c240d7d5b375",
 }
 
+# sha256 of the files `shc centers --seed 3 --bits 16` wrote when it ran the
+# paper's ALM (optimize with the default hyperparameters) on the two golden
+# similarity files, and of its --no-distance run on sim_log.txt, whose report
+# had no "method" key then (recorded with numpy 2.4 on x86-64).  optimize and
+# --no-distance must keep these bytes.
+ALM_REFERENCE_SHA256 = {
+    "centers_emb.json": "360e27eca713fa4cd4cea7ea414645a1109e8b00fc476c5b0d1c7209d7f980f9",
+    "centers_emb.shc": "4cb7f220f6ca3758ff7e918503dcefddb0f0613e9d63b2435e11a17888260808",
+    "centers_log.json": "a16344b0c23282293992d0b5a7f42568aed3b60173dbc93c09e5c591c38653fd",
+    "centers_log.shc": "4b557ac569250f782ceb12dfbca622eb873e93ebcbc7b36dd8b3f0e9098bdbe3",
+    "centers_nodist.json": "40a9f83e0fbd53fe716ded575bdf86e396d398ac93089348a4af438c5b79059d",
+    "centers_nodist.shc": "f846fed422c4f2f590690c8c9774760614bad347ea55e9e6cf05ef6a85ff7bc6",
+}
+
 
 def run_golden_pipeline(tmp_path):
-    """simmatrix (embeddings, logits, argmax-masked logits) -> centers --report -> eval, on seeded inputs."""
+    """simmatrix (embeddings, logits, argmax-masked logits) -> centers --report -> eval, on seeded inputs.
+
+    A third centers call runs --no-distance.
+    """
     rng = np.random.default_rng(2025)
     emb = rng.normal(size=(10, 6))
     (tmp_path / "emb.txt").write_text(
@@ -417,6 +484,9 @@ def run_golden_pipeline(tmp_path):
         assert main(["centers", "--sim", sim, "--bits", "16", "--seed", "3",
                      "--out", str(tmp_path / f"centers_{name}.shc"),
                      "--report", str(tmp_path / f"centers_{name}.json")]) == 0
+    assert main(["centers", "--sim", str(tmp_path / "sim_log.txt"), "--bits", "16", "--seed", "3",
+                 "--no-distance", "--out", str(tmp_path / "centers_nodist.shc"),
+                 "--report", str(tmp_path / "centers_nodist.json")]) == 0
     H = read_centers(tmp_path / "centers_emb.shc").matrix
     for name, n in (("db", 60), ("queries", 12)):
         labels = rng.integers(0, len(H), n)
@@ -427,11 +497,40 @@ def run_golden_pipeline(tmp_path):
                  str(tmp_path / "eval.json")]) == 0
 
 
+def digests(tmp_path):
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(tmp_path.iterdir())}
+
+
 class TestGoldenBytes:
     def test_pipeline_outputs_match_recorded_digests(self, tmp_path):
         run_golden_pipeline(tmp_path)
-        got = {
-            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(tmp_path.iterdir())
-        }
-        assert got == GOLDEN_SHA256
+        assert digests(tmp_path) == GOLDEN_SHA256
+
+    def test_alm_and_no_distance_outputs_match_recorded_digests(self, tmp_path):
+        run_golden_pipeline(tmp_path)
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        hp = AlmHyperParams()
+        for name in ("emb", "log"):
+            S = read_similarity(tmp_path / f"sim_{name}.txt")
+            d = compute_min_distance(16, S.C)
+            centers, trace = optimize(S, 16, d, hp, seed=3)
+            write_centers(centers, ref / f"centers_{name}.shc")
+            d_min, s_loss = quality_metrics(centers, S)
+            write_report(ref / f"centers_{name}.json", {
+                "d": d, "d_min": d_min, "s_loss": s_loss, "objective_trace": trace,
+                "violations": violation_count(centers, d), "seed": 3,
+                "hyperparameters": dataclasses.asdict(hp),
+            })
+        report = json.loads((tmp_path / "centers_nodist.json").read_text())
+        assert report.pop("method") == "no-distance"
+        write_report(ref / "centers_nodist.json", report)
+        shutil.copy(tmp_path / "centers_nodist.shc", ref)
+        assert digests(ref) == ALM_REFERENCE_SHA256
+
+
+def write_report(path, report):
+    """Write a report as `shc centers --report` does."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")

@@ -1,0 +1,157 @@
+import logging
+from itertools import product
+
+import numpy as np
+import pytest
+
+from shc.core import CenterSet, DimensionMismatchError, ValidationError
+from shc.gv import compute_min_distance
+from shc.optimizer import descend, init_centers, quality_metrics, violation_count
+from shc.similarity import cosine_similarity_matrix
+
+SIZES = [(10, 16), (16, 32), (100, 64), (600, 64)]
+
+
+def cosine_fixture(C, q, seed=0):
+    """Cosine similarities of random 32-d class embeddings, the GV target and the greedy init."""
+    S = cosine_similarity_matrix(np.random.default_rng(seed).normal(size=(C, 32)))
+    d = compute_min_distance(q, C)
+    return S, d, init_centers(q, C, d, seed)
+
+
+def flipped(centers, i, k):
+    rows = centers.matrix.copy()
+    rows[i, k] = -rows[i, k]
+    return CenterSet(rows)
+
+
+def sweep_violations(records):
+    return [int(r.getMessage().rsplit("violations=", 1)[1]) for r in records
+            if r.getMessage().startswith("descend: sweep")]
+
+
+class TestDescend:
+    @pytest.mark.parametrize("C, q", SIZES)
+    def test_lowers_s_loss_and_keeps_distance(self, C, q):
+        S, d, init = cosine_fixture(C, q)
+        init_d_min, init_loss = quality_metrics(init, S)
+        assert violation_count(init, d) == 0
+        out, trace = descend(S, init, d)
+        d_min, loss = quality_metrics(out, S)
+        assert loss < init_loss
+        assert violation_count(out, d) == 0
+        assert d_min >= init_d_min
+        assert trace[-1] == loss
+        assert all(b <= a for a, b in zip(trace, trace[1:]))
+
+    @pytest.mark.parametrize("C, q", SIZES[:3])
+    def test_no_allowed_single_flip_lowers_s_loss(self, C, q):
+        S, d, init = cosine_fixture(C, q, seed=1)
+        out, _ = descend(S, init, d)
+        _, loss = quality_metrics(out, S)
+        for i, k in product(range(C), range(q)):
+            other = flipped(out, i, k)
+            if violation_count(other, d) == 0:
+                # descend skips flips that gain less than 8e-9 C/q (|S| <= 1 here)
+                assert quality_metrics(other, S)[1] >= loss - 8e-9 * C / q, (i, k)
+
+    @pytest.mark.parametrize("C", [12, 40])
+    @pytest.mark.parametrize("kind", ["identity", "blocks"])
+    def test_structured_similarity_ends(self, kind, C):
+        # Many flips are exact ties in s_loss here, and G/q is inexact for q = 48.
+        q = 48
+        S = np.eye(C) if kind == "identity" else np.kron(np.eye(C // 4), np.ones((4, 4)))
+        d = compute_min_distance(q, C)
+        init = init_centers(q, C, d, seed=0)
+        out, trace = descend(S, init, d)
+        _, loss = quality_metrics(out, S)
+        assert trace[-1] == loss <= quality_metrics(init, S)[1]
+        assert violation_count(out, d) == 0
+        for i, k in product(range(C), range(q)):
+            other = flipped(out, i, k)
+            if violation_count(other, d) == 0:
+                assert quality_metrics(other, S)[1] >= loss - 8e-9 * C / q, (i, k)
+
+    @pytest.mark.parametrize("start", ["random", "duplicates"])
+    def test_violations_never_rise(self, start, caplog):
+        C, q = 16, 32
+        S, d, init = cosine_fixture(C, q, seed=2)
+        if start == "random":
+            init = init_centers(q, C, 1, seed=2)  # spaced for d=1 only
+        else:
+            rows = init.matrix.copy()
+            rows[1::2] = rows[::2]
+            init = CenterSet(rows)
+        before = violation_count(init, d)
+        assert before > 0
+        with caplog.at_level(logging.INFO, logger="shc.optimizer"):
+            out, trace = descend(S, init, d)
+        counts = [before] + sweep_violations(caplog.records)
+        assert len(counts) == len(trace) + 1
+        assert all(b <= a for a, b in zip(counts, counts[1:]))
+        assert violation_count(out, d) == counts[-1]
+
+    def test_deterministic(self):
+        S, d, init = cosine_fixture(100, 64, seed=3)
+        a, trace_a = descend(S, init, d)
+        b, trace_b = descend(S, init, d)
+        assert a == b
+        assert trace_a == trace_b
+
+    def test_asymmetric_similarity_descends_its_symmetric_part(self):
+        S, d, init = cosine_fixture(16, 32, seed=4)
+        noise = np.random.default_rng(4).normal(0, 0.1, (16, 16))
+        a, trace_a = descend(S.values + noise, init, d)
+        b, _ = descend(S.values + 0.5 * (noise + noise.T), init, d)
+        assert a == b
+        assert trace_a[-1] == quality_metrics(a, S.values + noise)[1]
+
+    def test_single_center_is_a_fixed_point(self):
+        init = init_centers(8, 1, 3, seed=0)
+        out, trace = descend([[1.0]], init, 3)
+        assert out == init
+        assert trace == [0.0]
+
+    def test_rejects_bad_arguments(self):
+        init = init_centers(8, 2, 2, seed=0)
+        with pytest.raises(ValidationError):
+            descend(np.eye(2), init, 9)
+        with pytest.raises(ValidationError):
+            descend(np.eye(2), init, 0)
+        with pytest.raises(DimensionMismatchError):
+            descend(np.eye(3), init, 2)
+
+
+def exhaustive_optimum(S, q, d):
+    """Smallest s_loss over all C-center sets in {-1,+1}^q with every pair at distance >= d.
+
+    s_loss depends only on the Gram matrix, which is unchanged by flipping a bit
+    in every center or permuting the bit positions; so center 0 is all ones and
+    center 1 is ones followed by w minus ones.  Handles 2 <= C <= 4.
+    """
+    C = S.shape[0]
+    codes = 1 - 2 * ((np.arange(2**q)[:, None] >> np.arange(q)) & 1)
+    best = np.inf
+    for w in range(q + 1):
+        rows = [np.ones(q, dtype=int), np.r_[np.ones(q - w, dtype=int), -np.ones(w, dtype=int)]]
+        rows += [codes[g] for g in np.meshgrid(*[np.arange(2**q)] * (C - 2), indexing="ij")]
+        loss, ok = 0.0, True
+        for i, j in product(range(C), repeat=2):
+            G = (rows[i] * rows[j]).sum(axis=-1)
+            loss = loss + (S[i, j] - G / q) ** 2
+            if i < j:
+                ok = ok & ((q - G) // 2 >= d)
+        best = min(best, float(np.where(ok, loss, np.inf).min()))
+    return best
+
+
+@pytest.mark.parametrize("C", [2, 3, 4])
+def test_gap_to_exhaustive_optimum(C):
+    q = 8
+    for seed in range(3):
+        S, d, init = cosine_fixture(C, q, seed=seed)
+        best = exhaustive_optimum(S.values, q, d)
+        out, _ = descend(S, init, d)
+        gap, init_gap = quality_metrics(out, S)[1] - best, quality_metrics(init, S)[1] - best
+        print(f"q={q} C={C} seed={seed} d={d}: descent gap {gap:.6g}, init gap {init_gap:.6g}")
+        assert -1e-9 <= gap <= init_gap

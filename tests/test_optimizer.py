@@ -20,6 +20,7 @@ from shc.optimizer import (
     update_proxy,
     update_slack,
     violation_count,
+    _sylvester_hadamard,
 )
 
 
@@ -146,6 +147,14 @@ class TestInitCenters:
     def test_bad_method(self):
         with pytest.raises(ValidationError):
             init_centers(8, 2, 2, seed=0, method="mds")
+
+    @pytest.mark.parametrize("q", [2**k for k in range(9)])
+    def test_sylvester_hadamard_equals_scipy(self, q):
+        from scipy.linalg import hadamard
+
+        rows = _sylvester_hadamard(q)
+        assert rows.dtype == np.int8
+        assert np.array_equal(rows, hadamard(q))
 
 
 class TestObjective:
