@@ -33,7 +33,6 @@ from .losses import LossConfig, central_loss, quantization_loss, total_loss
 from .optimizer import (
     AlmHyperParams,
     AlmState,
-    ablation_optimize,
     alm_objective,
     center_gradient,
     descend,
@@ -92,7 +91,6 @@ __all__ = [
     "update_multipliers",
     "optimize",
     "descend",
-    "ablation_optimize",
     "quality_metrics",
     "LossConfig",
     "central_loss",

@@ -8,7 +8,6 @@ byte-identical outputs.
 """
 
 import argparse
-import dataclasses
 import json
 import logging
 import sys
@@ -24,10 +23,8 @@ from .core import (
 from .evaluation import DEFAULT_PR_GRID, evaluate, worker_count
 from .gv import compute_min_distance
 from .optimizer import (
-    AlmHyperParams,
     INIT_GREEDY,
     INIT_HADAMARD,
-    ablation_optimize,
     descend,
     init_centers,
     quality_metrics,
@@ -57,27 +54,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _min_dist(text: str):
-    if text == "auto":
-        return "auto"
+def _int_at_least(text: str, least: int, what: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected 'auto' or an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"minimum distance must be >= 1, got {value}")
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < least:
+        raise argparse.ArgumentTypeError(f"{what} must be >= {least}, got {value}")
     return value
 
 
-_HP_HELP = {
-    "mu": "distance-term weight",
-    "rho": "proxy penalty",
-    "beta": "slack penalty",
-    "eta": "gradient step divisor",
-    "cycles": "outer cycles",
-    "inner": "gradient steps per column",
-}
-_NO_DISTANCE_HP = ("mu", "cycles")  # the only hyperparameters a CLI path uses
+def _min_dist(text: str):
+    return "auto" if text == "auto" else _int_at_least(text, 1, "minimum distance")
+
+
+def _seed(text: str) -> int:
+    return _int_at_least(text, 0, "seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,19 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=_min_dist,
         default="auto",
         metavar="D",
-        help="target minimum pairwise distance, or 'auto' for the feasibility bound (default)",
+        help="target minimum pairwise distance, or 'auto' for the feasibility bound (default); "
+        "1 only keeps the centers distinct",
     )
     p.add_argument("--out", required=True, metavar="FILE", help="output centers file")
-    p.add_argument("--seed", type=int, default=0, help="random seed (default: %(default)s)")
-    for field in dataclasses.fields(AlmHyperParams):
-        use = "--no-distance only" if field.name in _NO_DISTANCE_HP else "checked, used by no command"
-        p.add_argument(f"--{field.name}", type=field.type, default=field.default,
-                       help=f"{use}: {_HP_HELP[field.name]} (default: %(default)s)")
-    p.add_argument(
-        "--no-distance",
-        action="store_true",
-        help="drop the distance constraint (similarity-only alternating updates instead of the descent)",
-    )
+    p.add_argument("--seed", type=_seed, default=0, help="random seed, >= 0 (default: %(default)s)")
     p.add_argument(
         "--init",
         choices=[INIT_GREEDY, INIT_HADAMARD],
@@ -198,33 +182,21 @@ def _cmd_simmatrix(args) -> int:
 
 def _cmd_centers(args) -> int:
     matrix = read_similarity(args.sim)
-    hp = AlmHyperParams(**{f.name: getattr(args, f.name) for f in dataclasses.fields(AlmHyperParams)})
-    if args.no_distance:
-        target = None
-        trace = []
-        centers = ablation_optimize(matrix, args.bits, hp, seed=args.seed, init=args.init)
-    else:
-        target = (
-            compute_min_distance(args.bits, matrix.C)
-            if args.min_dist == "auto"
-            else args.min_dist
-        )
-        init = init_centers(args.bits, matrix.C, target, args.seed, method=args.init)
-        centers, trace = descend(matrix, init, target)
+    d = compute_min_distance(args.bits, matrix.C) if args.min_dist == "auto" else args.min_dist
+    init = init_centers(args.bits, matrix.C, d, args.seed, method=args.init)
+    centers, trace = descend(matrix, init, d)
     write_centers(centers, args.out)
     d_min, s_loss = quality_metrics(centers, matrix)
     log.info("wrote %d centers (q=%d, d_min=%s, s_loss=%.6g) to %s",
              centers.C, centers.q, d_min, s_loss, args.out)
     if args.report:
         report = {
-            "method": "no-distance" if args.no_distance else "descent",
-            "d": target,
+            "d": d,
             "d_min": d_min,
             "s_loss": s_loss,
             "objective_trace": trace,
-            "violations": violation_count(centers, target) if target is not None else None,
+            "violations": violation_count(centers, d),
             "seed": args.seed,
-            "hyperparameters": dataclasses.asdict(hp) if args.no_distance else None,
         }
         with open(args.report, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)

@@ -52,7 +52,6 @@ __all__ = [
     "update_multipliers",
     "optimize",
     "descend",
-    "ablation_optimize",
     "quality_metrics",
     "constrained_objective",
     "violation_count",
@@ -335,7 +334,7 @@ def update_proxy(state: AlmState, S, hp: AlmHyperParams) -> np.ndarray:
     Solves the SPD system ((2/q^2) H H^T + rho I) m_i = (2/q) H s_i +
     lambda_i + rho h_i for every column.
     """
-    from scipy.linalg import cho_factor, cho_solve  # only the ALM paths need scipy; keeps CLI start-up light
+    from scipy.linalg import cho_factor, cho_solve  # only optimize needs scipy; keeps CLI start-up light
 
     Sv = _sim_values(S, state.C)
     q = state.q
@@ -535,66 +534,6 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
             np.count_nonzero(dist < d),
         )
     return CenterSet(H.astype(np.int8)), trace
-
-
-def ablation_optimize(
-    S,
-    q: int,
-    hp: AlmHyperParams = AlmHyperParams(),
-    seed: int = 0,
-    init: str = INIT_GREEDY,
-    initial: CenterSet | None = None,
-) -> CenterSet:
-    """Distance-free variant: alternate closed-form M and sign-projected H.
-
-    Minimizes the relaxation ||S - (1/q) H^T M||_F^2 + mu ||H - M||_F^2 by
-    solving the M normal equations exactly (which can only lower the
-    relaxed objective) and setting H to the sign of the real minimizer of
-    the H subproblem.  mu > 0 keeps both systems positive definite.
-    Returns the iterate with the smallest similarity loss seen.
-    ``initial`` overrides the seeded init (shared fixed points are easiest
-    to exercise that way).
-    """
-    from scipy.linalg import cho_factor, cho_solve
-
-    Sv = _sim_values(S)
-    C = Sv.shape[0]
-    if hp.mu <= 0:
-        raise ValidationError("ablation requires mu > 0 to regularize the normal equations")
-    if initial is None:
-        initial = init_centers(q, C, 1, seed, method=init)
-    if initial.C != C or initial.q != q:
-        raise DimensionMismatchError(
-            f"initial centers are ({initial.C}, {initial.q}), expected ({C}, {q})"
-        )
-    H = initial.matrix.T.astype(np.float64)
-    M = H.copy()
-    eye = np.eye(q)
-
-    def relaxed(Hm, Mm):
-        fit = Sv - (Hm.T @ Mm) / q
-        gap = Hm - Mm
-        return float((fit * fit).sum()) + hp.mu * float((gap * gap).sum())
-
-    best_loss = _gram_stats(H.T, Sv)[0]
-    best_H = H.copy()
-    for _ in range(hp.cycles):
-        before = relaxed(H, M)
-        A = (H @ H.T) / q**2 + hp.mu * eye
-        B = (H @ Sv) / q + hp.mu * H
-        M = cho_solve(cho_factor(A), B)
-        after = relaxed(H, M)
-        assert after <= before + 1e-9 * (1.0 + abs(before)), "M-step raised the relaxed objective"
-
-        A = (M @ M.T) / q**2 + hp.mu * eye
-        B = (M @ Sv) / q + hp.mu * M
-        H = _sign_keep(cho_solve(cho_factor(A), B), H)
-
-        loss = _gram_stats(H.T, Sv)[0]
-        if loss < best_loss:
-            best_loss = loss
-            best_H = H.copy()
-    return CenterSet(best_H.T.astype(np.int8))
 
 
 def quality_metrics(centers: CenterSet, S) -> tuple[int | None, float]:

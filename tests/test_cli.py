@@ -3,7 +3,7 @@ import hashlib
 import json
 import logging
 import os
-import shutil
+import re
 import struct
 import subprocess
 import sys
@@ -23,7 +23,13 @@ from shc.core import (
     write_centers,
     write_codes,
 )
-from shc.similarity import read_embeddings, read_logits, read_similarity, write_similarity
+from shc.similarity import (
+    cosine_similarity_matrix,
+    read_embeddings,
+    read_logits,
+    read_similarity,
+    write_similarity,
+)
 from shc.gv import compute_min_distance
 from shc.optimizer import AlmHyperParams, init_centers, optimize, quality_metrics, violation_count
 from shc.core import SimilarityMatrix
@@ -49,6 +55,12 @@ def write_logit_file(path, C, per_class, seed=0, boost=4.0):
         logits[label] += boost
         lines.append(",".join([f"img{i}", str(label)] + [f"{v:.12g}" for v in logits]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def assert_usage_error(err, message):
+    """An argparse usage block, then one error line holding ``message``."""
+    assert err.startswith("usage: ") and err.count("error:") == 1, err
+    assert message in err.rstrip("\n").split("\n")[-1], err
 
 
 class TestGvBound:
@@ -123,12 +135,7 @@ class TestCenters:
         assert main(["centers", "--sim", str(sim_file), "--bits", "16",
                      "--out", str(out), "--seed", "1", "--report", str(report_path)]) == 0
         report = json.loads(report_path.read_text())
-        assert set(report) == {
-            "method", "d", "d_min", "s_loss", "objective_trace", "violations", "seed",
-            "hyperparameters",
-        }
-        assert report["method"] == "descent"
-        assert report["hyperparameters"] is None
+        assert list(report) == ["d", "d_min", "s_loss", "objective_trace", "violations", "seed"]
         assert report["seed"] == 1
         assert report["violations"] == 0 and report["d_min"] >= report["d"] >= 1
         # s_loss after each sweep: never rising, the last sweep flips nothing
@@ -140,22 +147,21 @@ class TestCenters:
         centers = read_centers(out)
         assert centers.C == 8 and centers.q == 16
 
-    def test_explicit_min_dist_and_hyperparams(self, tmp_path, sim_file):
+    def test_explicit_min_dist_and_hyperparams(self, tmp_path, sim_file, capsys):
         out = tmp_path / "c.bin"
         report_path = tmp_path / "r.json"
         args = ["centers", "--sim", str(sim_file), "--bits", "16", "--min-dist", "3",
-                "--mu", "0.1", "--cycles", "5", "--out", str(out), "--report", str(report_path)]
+                "--out", str(out), "--report", str(report_path)]
         assert main(args) == 0
         report = json.loads(report_path.read_text())
         assert report["d"] == 3
         assert report["violations"] == 0
-        # the hyperparameters are checked but do not steer the descent
-        assert report["hyperparameters"] is None
-        assert main(args + ["--no-distance"]) == 0
-        report = json.loads(report_path.read_text())
-        assert report["method"] == "no-distance"
-        assert report["hyperparameters"]["mu"] == 0.1
-        assert report["hyperparameters"]["cycles"] == 5
+        # the ALM hyperparameters are library-only (AlmHyperParams); no option takes them
+        for flag, value in (("--mu", "0.1"), ("--rho", "0.2"), ("--beta", "1e-6"),
+                            ("--eta", "0.5"), ("--cycles", "5"), ("--inner", "3")):
+            capsys.readouterr()
+            assert main(args + [flag, value]) == 1
+            assert_usage_error(capsys.readouterr().err, f"unrecognized arguments: {flag} {value}")
 
     def test_verbose_logs_one_line_per_sweep(self, tmp_path, sim_file, caplog):
         report_path = tmp_path / "r.json"
@@ -175,19 +181,37 @@ class TestCenters:
         report_path = tmp_path / "r.json"
         assert main(["centers", "--sim", str(sim_file), "--bits", "16", flag, value,
                      "--out", str(tmp_path / "c.bin"), "--report", str(report_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("shc: error:") and err.count("\n") == 1, err
+        assert_usage_error(capsys.readouterr().err, f"unrecognized arguments: {flag} {value}")
         assert not report_path.exists()
 
-    def test_no_distance_mode(self, tmp_path, sim_file):
-        out = tmp_path / "c.bin"
-        report_path = tmp_path / "r.json"
-        assert main(["centers", "--sim", str(sim_file), "--bits", "16",
-                     "--no-distance", "--out", str(out), "--report", str(report_path)]) == 0
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_exits_1(self, seed, tmp_path, sim_file, capsys):
+        assert main(["centers", "--sim", str(sim_file), "--bits", "16", "--seed", seed,
+                     "--out", str(tmp_path / "c.bin")]) == 1
+        assert_usage_error(capsys.readouterr().err, "argument --seed: ")
+        assert not (tmp_path / "c.bin").exists()
+
+    def test_no_distance_mode(self, tmp_path, capsys):
+        # The ablation without the distance constraint is the same descent at d = 1: the
+        # centers only have to stay distinct.  --no-distance itself is gone.
+        C, q, seed = 100, 64, 1
+        emb = np.random.default_rng(7).normal(size=(C, 32))
+        S = cosine_similarity_matrix(emb)
+        sim = tmp_path / "sim.txt"
+        write_similarity(S, sim)
+        out, report_path = tmp_path / "c.bin", tmp_path / "r.json"
+        args = ["centers", "--sim", str(sim), "--bits", str(q), "--seed", str(seed),
+                "--out", str(out), "--report", str(report_path)]
+        assert main(args + ["--no-distance"]) == 1
+        assert_usage_error(capsys.readouterr().err, "unrecognized arguments: --no-distance")
+        assert main(args + ["--min-dist", "1"]) == 0
         report = json.loads(report_path.read_text())
-        assert report["d"] is None
-        assert report["violations"] is None
-        assert read_centers(out).C == 8
+        centers = read_centers(out)
+        assert report["d"] == 1 and report["violations"] == 0
+        assert len(np.unique(centers.matrix, axis=0)) == C
+        # what --no-distance returned: its seeded init, bit for bit
+        init = init_centers(q, C, 1, seed)
+        assert report["s_loss"] < quality_metrics(init, read_similarity(sim))[1]
 
     def test_hadamard_init(self, tmp_path, sim_file):
         out = tmp_path / "c.bin"
@@ -294,9 +318,7 @@ class TestHelp:
     EXPECTED_FLAGS = {
         "gvbound": ["--bits", "--classes"],
         "simmatrix": ["--logits", "--embeddings", "--out", "--mask"],
-        "centers": ["--sim", "--bits", "--min-dist", "--out", "--seed", "--mu", "--rho",
-                    "--beta", "--eta", "--cycles", "--inner", "--no-distance", "--init",
-                    "--report"],
+        "centers": ["--sim", "--bits", "--min-dist", "--out", "--seed", "--init", "--report"],
         "inspect": ["--centers", "--sim", "--json"],
         "eval": ["--db", "--queries", "--topk", "--pr-grid", "--out"],
     }
@@ -305,9 +327,9 @@ class TestHelp:
     def test_help_enumerates_flags(self, command, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args([command, "--help"])
-        text = capsys.readouterr().out
-        for flag in self.EXPECTED_FLAGS[command]:
-            assert flag in text, f"{command} --help missing {flag}"
+        # exactly these, so a removed option (centers --no-distance, --mu, ...) fails here too
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+        assert listed == set(self.EXPECTED_FLAGS[command])
 
     def test_top_level_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit):
@@ -341,13 +363,12 @@ class TestEntryPoint:
         assert proc.stdout.strip() == "[]"
 
     def test_default_centers_run_leaves_scipy_out(self, tmp_path, sim_file):
-        code = (
-            "import sys; from shc.cli import main; "
-            f"rc = main(['centers', '--sim', {str(sim_file)!r}, '--bits', '16', '--out', {str(tmp_path / 'c')!r}]); "
-            "print(rc, 'scipy' in sys.modules)"
-        )
-        proc = run_python(["-c", code])
-        assert proc.stdout.strip() == "0 False", proc.stderr
+        # every centers path: the default, the d = 1 ablation and the Hadamard init
+        for extra in ([], ["--min-dist", "1"], ["--init", "hadamard"]):
+            argv = ["centers", "--sim", str(sim_file), "--bits", "16", "--out", str(tmp_path / "c"), *extra]
+            code = f"import sys; from shc.cli import main; rc = main({argv!r}); print(rc, 'scipy' in sys.modules)"
+            proc = run_python(["-c", code])
+            assert proc.stdout.strip() == "0 False", (extra, proc.stderr)
 
 
 def _u32x2(a, b):
@@ -430,12 +451,12 @@ class TestHostileInput:
 # sha256 of every file run_golden_pipeline writes (recorded with numpy 2.4
 # on x86-64).  Changes meant to keep the CLI's outputs must keep these bytes.
 GOLDEN_SHA256 = {
-    "centers_emb.json": "10fb33911f500ecde82c1166350663f202d6b6ec12eb6d4c8873f9585ab564a8",
+    "centers_d1.json": "3837b29a81a5844d5c314ceb237f3cb03d928e9063209dea11e89fb6f9e27d8d",
+    "centers_d1.shc": "60086bb46933decf0d2c59fc849214c35a5ebcffe3f464374a2dc32ff4c9d5a1",
+    "centers_emb.json": "4714358bcad900cbcb8c686c00b50018fd21df2539c62bfd11f4709fbdefc9ed",
     "centers_emb.shc": "45a5f770322843fa7d2dcb0f1ec1b6337a09a9b992cbc4c46a8d194d053d4043",
-    "centers_log.json": "acacf5331b5c5dd2575bcfec772be019bda7b8035a0fff7ff1f34597386e2b0c",
+    "centers_log.json": "2fc49a844dd477b428da689fcca11e464852a1c778ab267a95634c57f2c72c8d",
     "centers_log.shc": "c86f314d1467ec57dfbbf2799ab56451ac0200d7cb9a6efce4bd82b6e48f9e47",
-    "centers_nodist.json": "b1b5357574dbfbf80f425f965927cccbd1d0a6899a2393f49b77ecd545669289",
-    "centers_nodist.shc": "f846fed422c4f2f590690c8c9774760614bad347ea55e9e6cf05ef6a85ff7bc6",
     "db.shcd": "4013f70cb802dcaf048867b603e4f9bf7e3639c61276474ca81ceeb080a405d7",
     "emb.txt": "b34fbc4b49bb03456f1d77ba642afd06fbea86a9940a21cac1082170e78bb2c0",
     "eval.json": "e0e8f955fcc8a4b778784b9ee61ebe0510897dfe8a2cafe982074f38f6b47107",
@@ -449,23 +470,20 @@ GOLDEN_SHA256 = {
 
 # sha256 of the files `shc centers --seed 3 --bits 16` wrote when it ran the
 # paper's ALM (optimize with the default hyperparameters) on the two golden
-# similarity files, and of its --no-distance run on sim_log.txt, whose report
-# had no "method" key then (recorded with numpy 2.4 on x86-64).  optimize and
-# --no-distance must keep these bytes.
+# similarity files (recorded with numpy 2.4 on x86-64).  optimize must keep
+# these bytes.
 ALM_REFERENCE_SHA256 = {
     "centers_emb.json": "360e27eca713fa4cd4cea7ea414645a1109e8b00fc476c5b0d1c7209d7f980f9",
     "centers_emb.shc": "4cb7f220f6ca3758ff7e918503dcefddb0f0613e9d63b2435e11a17888260808",
     "centers_log.json": "a16344b0c23282293992d0b5a7f42568aed3b60173dbc93c09e5c591c38653fd",
     "centers_log.shc": "4b557ac569250f782ceb12dfbca622eb873e93ebcbc7b36dd8b3f0e9098bdbe3",
-    "centers_nodist.json": "40a9f83e0fbd53fe716ded575bdf86e396d398ac93089348a4af438c5b79059d",
-    "centers_nodist.shc": "f846fed422c4f2f590690c8c9774760614bad347ea55e9e6cf05ef6a85ff7bc6",
 }
 
 
 def run_golden_pipeline(tmp_path):
     """simmatrix (embeddings, logits, argmax-masked logits) -> centers --report -> eval, on seeded inputs.
 
-    A third centers call runs --no-distance.
+    A third centers call runs the ablation without the distance constraint, --min-dist 1.
     """
     rng = np.random.default_rng(2025)
     emb = rng.normal(size=(10, 6))
@@ -485,8 +503,8 @@ def run_golden_pipeline(tmp_path):
                      "--out", str(tmp_path / f"centers_{name}.shc"),
                      "--report", str(tmp_path / f"centers_{name}.json")]) == 0
     assert main(["centers", "--sim", str(tmp_path / "sim_log.txt"), "--bits", "16", "--seed", "3",
-                 "--no-distance", "--out", str(tmp_path / "centers_nodist.shc"),
-                 "--report", str(tmp_path / "centers_nodist.json")]) == 0
+                 "--min-dist", "1", "--out", str(tmp_path / "centers_d1.shc"),
+                 "--report", str(tmp_path / "centers_d1.json")]) == 0
     H = read_centers(tmp_path / "centers_emb.shc").matrix
     for name, n in (("db", 60), ("queries", 12)):
         labels = rng.integers(0, len(H), n)
@@ -506,7 +524,7 @@ class TestGoldenBytes:
         run_golden_pipeline(tmp_path)
         assert digests(tmp_path) == GOLDEN_SHA256
 
-    def test_alm_and_no_distance_outputs_match_recorded_digests(self, tmp_path):
+    def test_alm_outputs_match_recorded_digests(self, tmp_path):
         run_golden_pipeline(tmp_path)
         ref = tmp_path / "ref"
         ref.mkdir()
@@ -522,10 +540,6 @@ class TestGoldenBytes:
                 "violations": violation_count(centers, d), "seed": 3,
                 "hyperparameters": dataclasses.asdict(hp),
             })
-        report = json.loads((tmp_path / "centers_nodist.json").read_text())
-        assert report.pop("method") == "no-distance"
-        write_report(ref / "centers_nodist.json", report)
-        shutil.copy(tmp_path / "centers_nodist.shc", ref)
         assert digests(ref) == ALM_REFERENCE_SHA256
 
 

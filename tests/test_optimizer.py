@@ -8,7 +8,6 @@ from shc.optimizer import (
     AlmHyperParams,
     AlmState,
     INIT_HADAMARD,
-    ablation_optimize,
     alm_objective,
     center_gradient,
     constrained_objective,
@@ -426,39 +425,6 @@ class TestOptimize:
     def test_rejects_bad_distance(self):
         with pytest.raises(ValidationError):
             optimize([[1.0, 0.0], [0.0, 1.0]], 8, 9, seed=0)
-
-
-class TestAblation:
-    def test_fixed_point_at_exact_solution(self):
-        rng = np.random.default_rng(12)
-        planted, S = planted_similarity(rng, 8, 4)
-        out = ablation_optimize(S, 8, AlmHyperParams(cycles=5), seed=0, initial=planted)
-        assert out == planted
-        _, s_loss = quality_metrics(out, S)
-        assert s_loss == 0.0
-
-    def test_never_worse_than_init(self):
-        rng = np.random.default_rng(13)
-        for seed in range(5):
-            C, q = 2, 8
-            S = random_similarity(rng, C)
-            init = init_centers(q, C, 1, seed)
-            _, s_init = quality_metrics(init, S)
-            out = ablation_optimize(S, q, AlmHyperParams(cycles=10), seed=seed)
-            _, s_out = quality_metrics(out, S)
-            assert s_out <= s_init + 1e-12
-
-    def test_huge_mu_freezes_at_init(self):
-        # mu -> inf forces M -> H in the M-step, so the sign step returns H
-        rng = np.random.default_rng(14)
-        _, S = planted_similarity(rng, 8, 4)
-        init = init_centers(8, 4, 1, seed=3)
-        out = ablation_optimize(S, 8, AlmHyperParams(mu=1e6, cycles=3), seed=3, initial=init)
-        assert out == init
-
-    def test_requires_positive_mu(self):
-        with pytest.raises(ValidationError):
-            ablation_optimize(np.eye(2), 8, AlmHyperParams(mu=0.0), seed=0)
 
 
 class TestQualityMetrics:
