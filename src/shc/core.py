@@ -309,7 +309,8 @@ def _pack_words(rows) -> np.ndarray:
     W = ceil(q/64); zero bits pad the last word, so they never differ.
     """
     packed = pack_code_rows(rows)
-    packed = np.pad(packed, [(0, 0)] * (packed.ndim - 1) + [(0, -packed.shape[-1] % 8)])
+    if packed.shape[-1] % 8:
+        packed = np.pad(packed, [(0, 0)] * (packed.ndim - 1) + [(0, -packed.shape[-1] % 8)])
     return packed.view(np.uint64)
 
 

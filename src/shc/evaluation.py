@@ -7,6 +7,7 @@ with AP = 0 when none are; queries whose label has no relevant records at
 all count with recall 1.
 """
 
+import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -30,6 +31,8 @@ __all__ = [
     "evaluate",
     "worker_count",
 ]
+
+log = logging.getLogger(__name__)
 
 # Cutoff grid for the precision/recall/PR curves: dense at the head,
 # coarsening out to 500.
@@ -179,8 +182,14 @@ def evaluate(
     n_q = len(queries)
     rows = max(1, EVAL_CHUNK_BYTES // (EVAL_BYTES_PER_PAIR * len(db)))
     chunks = [slice(i, i + rows) for i in range(0, n_q, rows)]
+    workers = max(1, int(workers))
+    log.info(
+        "evaluate: %d queries in %d chunks of up to %d rows (%d B per query x record pair, "
+        "%d B per chunk, %d records), %d workers",
+        n_q, len(chunks), min(rows, n_q), EVAL_BYTES_PER_PAIR, EVAL_CHUNK_BYTES, len(db), workers,
+    )
     db_words = _pack_words(db.codes)  # packed once, not once per chunk
-    with ThreadPoolExecutor(max_workers=max(1, int(workers))) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(
             lambda s: _chunk_stats(
                 _pack_words(queries.codes[s]), queries.labels[s], db_words, db.labels, db.q, cut_arr

@@ -190,12 +190,20 @@ def _gram_stats(rows, Sv=None) -> tuple[float | None, float, np.ndarray]:
 
 def _stats_of_gram(G: np.ndarray, q: int, Sv=None) -> tuple[float | None, float, np.ndarray]:
     """:func:`_gram_stats` from a Gram matrix G of exact integers (float or int) of length-q rows."""
-    s_loss = None
-    if Sv is not None:
-        fit = Sv - G / q
-        s_loss = float((fit * fit).sum())
-    iu = np.triu_indices(G.shape[0], k=1)
-    return s_loss, float(G.sum() - np.trace(G)), (q - G[iu]) // 2
+    s_loss = None if Sv is None else _fit_loss(Sv, G, q, np.empty(G.shape))
+    C = G.shape[0]
+    dist = G[np.less.outer(np.arange(C), np.arange(C))]  # the i < j entries, row-major
+    np.subtract(q, dist, out=dist)
+    np.floor_divide(dist, 2, out=dist)
+    return s_loss, float(G.sum() - np.trace(G)), dist
+
+
+def _fit_loss(Sv: np.ndarray, G: np.ndarray, q: int, out: np.ndarray) -> float:
+    """The similarity loss ||Sv - G/q||_F^2, computed in the C x C float64 buffer ``out``."""
+    np.divide(G, q, out=out)
+    np.subtract(Sv, out, out=out)
+    np.multiply(out, out, out=out)
+    return float(out.sum())
 
 
 def _count_close_pairs(rows, d: int) -> int:
@@ -498,6 +506,11 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
     flip back and forth for ever.  Sweeps repeat until one flips nothing, so
     on return no allowed single flip lowers s_loss by more than that margin.
     Returns the centers and the s_loss after each sweep.  Deterministic.
+
+    The rows r are kept in a C x C matrix, so a visit costs one product
+    r @ H; the tight-pair mask is built only when the best flip of the
+    unmasked gains would lower s_loss, and a flip rewrites row and column i
+    of G and of that matrix in O(C).
     """
     Sv = _sim_values(S, centers.C)
     C, q = centers.C, centers.q
@@ -509,30 +522,48 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
     tight_above = q - 2 * d - 2
     # far above the rounding error of r @ H, so each applied flip really lowers s_loss
     lowers = -(C - 1) / q - 1e-9 * C * max(1.0, float(np.abs(sym).max()))
+    # R = sym - G/q with a zero diagonal, kept exact: a flip rewrites row i from
+    # the same expression and copies it (and G's row) into the column, since
+    # sym and G are exactly symmetric.
+    R = sym - G / q
+    np.fill_diagonal(R, 0.0)
+    loss_buf = np.empty((C, C))
     trace = []
     flips = 1
     while flips:
         flips = 0
         for i in range(C):
-            r = sym[i] - G[i] / q
-            r[i] = 0.0
-            gain = (r @ H) * H[i]
-            gain[(H[G[i] > tight_above] != H[i]).any(axis=0)] = np.inf
-            k = int(np.argmin(gain))
-            if gain[k] < lowers:
-                step = (-2.0 * H[i, k] * H[:, k]).astype(np.int64)
-                step[i] = 0
-                G[i] += step
-                G[:, i] += step
-                H[i, k] = -H[i, k]
-                flips += 1
-        s_loss, _, dist = _stats_of_gram(G, q, Sv)
+            gain = R[i] @ H
+            gain *= H[i]
+            k = int(gain.argmin())
+            if not gain[k] < lowers:
+                continue
+            # The mask only raises entries to inf, so it matters only when it blocks
+            # the unmasked best bit; argmin keeps the first minimum either way.
+            blocked = (H[G[i] > tight_above] != H[i]).any(axis=0)
+            if blocked[k]:
+                gain[blocked] = np.inf
+                k = int(gain.argmin())
+                if not gain[k] < lowers:
+                    continue
+            step = (-2.0 * H[i, k] * H[:, k]).astype(np.int64)
+            step[i] = 0
+            G[i] += step
+            G[:, i] = G[i]
+            H[i, k] = -H[i, k]
+            R[i] = sym[i] - G[i] / q
+            R[i, i] = 0.0
+            R[:, i] = R[i]
+            flips += 1
+        s_loss = _fit_loss(Sv, G, q, loss_buf)
         trace.append(s_loss)
-        log.info(
-            "descend: sweep %d flipped %d bits, s_loss=%.6g, d_min=%s, violations=%d",
-            len(trace), flips, s_loss, int(dist.min()) if dist.size else None,
-            np.count_nonzero(dist < d),
-        )
+        if log.isEnabledFor(logging.INFO):
+            dist = _stats_of_gram(G, q)[2]
+            log.info(
+                "descend: sweep %d flipped %d bits, s_loss=%.6g, d_min=%s, violations=%d",
+                len(trace), flips, s_loss, int(dist.min()) if dist.size else None,
+                np.count_nonzero(dist < d),
+            )
     return CenterSet(H.astype(np.int8)), trace
 
 

@@ -300,6 +300,16 @@ class TestEval:
         recalls = [r for _, r in payload["recall_curve"]]
         assert all(0.0 <= r <= 1.0 for r in recalls)
 
+    def test_verbose_logs_chunking_not_into_the_report(self, tmp_path, code_files, caplog):
+        db_path, q_path = code_files
+        args = ["eval", "--db", str(db_path), "--queries", str(q_path), "--topk", "5"]
+        assert main(args + ["--out", str(tmp_path / "quiet.json")]) == 0
+        with caplog.at_level(logging.INFO, logger="shc.evaluation"):
+            assert main(["-v"] + args + ["--out", str(tmp_path / "verbose.json")]) == 0
+        assert (tmp_path / "verbose.json").read_bytes() == (tmp_path / "quiet.json").read_bytes()
+        lines = [r.getMessage() for r in caplog.records if r.name == "shc.evaluation"]
+        assert len(lines) == 1 and lines[0].startswith("evaluate: 6 queries in 1 chunks of up to 6 rows")
+
     def test_bad_topk_exits_1(self, tmp_path, code_files, capsys):
         db_path, q_path = code_files
         assert main(["eval", "--db", str(db_path), "--queries", str(q_path),

@@ -150,6 +150,19 @@ class TestPackedHammingKernel:
         assert np.array_equal(raw[:, : (q + 7) // 8], pack_code_rows(rows))
         assert not raw[:, (q + 7) // 8 :].any()
 
+    @pytest.mark.parametrize("q", [1, 7, 63, 64, 65, 128, 300])
+    def test_words_match_always_padded_packing(self, q):
+        # The packing as first written: np.pad on every call, even when the row bytes fill whole words.
+        def padded(rows):
+            packed = pack_code_rows(rows)
+            return np.pad(packed, [(0, 0)] * (packed.ndim - 1) + [(0, -packed.shape[-1] % 8)]).view(np.uint64)
+
+        rows = (np.random.default_rng(q).integers(0, 2, (5, q)) * 2 - 1).astype(np.int8)
+        for x in (rows, rows[2], rows[:0]):
+            got, want = _pack_words(x), padded(x)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
 
 class TestPacking:
     def test_packing_rule(self):

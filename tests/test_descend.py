@@ -6,7 +6,14 @@ import pytest
 
 from shc.core import CenterSet, DimensionMismatchError, ValidationError
 from shc.gv import compute_min_distance
-from shc.optimizer import descend, init_centers, quality_metrics, violation_count
+from shc.optimizer import (
+    _sim_values,
+    _stats_of_gram,
+    descend,
+    init_centers,
+    quality_metrics,
+    violation_count,
+)
 from shc.similarity import cosine_similarity_matrix
 
 SIZES = [(10, 16), (16, 32), (100, 64), (600, 64)]
@@ -155,3 +162,111 @@ def test_gap_to_exhaustive_optimum(C):
         gap, init_gap = quality_metrics(out, S)[1] - best, quality_metrics(init, S)[1] - best
         print(f"q={q} C={C} seed={seed} d={d}: descent gap {gap:.6g}, init gap {init_gap:.6g}")
         assert -1e-9 <= gap <= init_gap
+
+
+def reference_descend(S, centers, d):
+    """The descent as first written: r, the gains and the tight-pair mask rebuilt on every visit.
+
+    The fast :func:`descend` keeps R = sym - G/q and builds the mask only for
+    an improving flip; it must return the same centers and trace bit for bit.
+    """
+    log = logging.getLogger("shc.optimizer")
+    Sv = _sim_values(S, centers.C)
+    C, q = centers.C, centers.q
+    sym = 0.5 * (Sv + Sv.T)
+    H = centers.matrix.astype(np.float64)
+    G = centers.matrix.astype(np.int64) @ centers.matrix.T.astype(np.int64)
+    tight_above = q - 2 * d - 2
+    lowers = -(C - 1) / q - 1e-9 * C * max(1.0, float(np.abs(sym).max()))
+    trace = []
+    flips = 1
+    while flips:
+        flips = 0
+        for i in range(C):
+            r = sym[i] - G[i] / q
+            r[i] = 0.0
+            gain = (r @ H) * H[i]
+            gain[(H[G[i] > tight_above] != H[i]).any(axis=0)] = np.inf
+            k = int(np.argmin(gain))
+            if gain[k] < lowers:
+                step = (-2.0 * H[i, k] * H[:, k]).astype(np.int64)
+                step[i] = 0
+                G[i] += step
+                G[:, i] += step
+                H[i, k] = -H[i, k]
+                flips += 1
+        s_loss, _, dist = reference_stats_of_gram(G, q, Sv)
+        trace.append(s_loss)
+        log.info(
+            "descend: sweep %d flipped %d bits, s_loss=%.6g, d_min=%s, violations=%d",
+            len(trace), flips, s_loss, int(dist.min()) if dist.size else None,
+            np.count_nonzero(dist < d),
+        )
+    return CenterSet(H.astype(np.int8)), trace
+
+
+def reference_stats_of_gram(G, q, Sv=None):
+    """The Gram statistics as first written: three C x C temporaries and a triu_indices copy."""
+    s_loss = None
+    if Sv is not None:
+        fit = Sv - G / q
+        s_loss = float((fit * fit).sum())
+    iu = np.triu_indices(G.shape[0], k=1)
+    return s_loss, float(G.sum() - np.trace(G)), (q - G[iu]) // 2
+
+
+def oracle_cases():
+    for C, q in SIZES:
+        yield f"cosine-{C}x{q}", *cosine_fixture(C, q)
+    for C, q in [(40, 128), (40, 48)]:
+        yield f"cosine-{C}x{q}", *cosine_fixture(C, q, seed=5)
+    for kind in ("identity", "blocks"):
+        C, q = 40, 48
+        S = np.eye(C) if kind == "identity" else np.kron(np.eye(C // 4), np.ones((4, 4)))
+        d = compute_min_distance(q, C)
+        yield f"{kind}-{C}x{q}", S, d, init_centers(q, C, d, seed=0)
+    S, d, init = cosine_fixture(16, 32, seed=4)
+    yield "asymmetric", S.values + np.random.default_rng(4).normal(0, 0.1, (16, 16)), d, init
+    S, d, init = cosine_fixture(16, 32, seed=2)
+    yield "random-init", S, d, init_centers(32, 16, 1, seed=2)
+    rows = init.matrix.copy()
+    rows[1::2] = rows[::2]
+    yield "duplicated-init", S, d, CenterSet(rows)
+
+
+ORACLE_CASES = list(oracle_cases())
+
+
+@pytest.mark.parametrize("name, S, d, init", ORACLE_CASES, ids=[case[0] for case in ORACLE_CASES])
+def test_descend_matches_reference(name, S, d, init, caplog):
+    with caplog.at_level(logging.INFO, logger="shc.optimizer"):
+        ref, ref_trace = reference_descend(S, init, d)
+        ref_messages = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        out, trace = descend(S, init, d)
+        messages = [r.getMessage() for r in caplog.records]
+    assert np.array_equal(out.matrix, ref.matrix)
+    assert trace == ref_trace
+    assert messages == ref_messages
+    assert len(messages) == len(trace)
+    # the same result without the per-sweep distances that only the INFO line needs
+    quiet, quiet_trace = descend(S, init, d)
+    assert np.array_equal(quiet.matrix, ref.matrix)
+    assert quiet_trace == ref_trace
+
+
+@pytest.mark.parametrize("C", [1, 2, 37, 600])
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+@pytest.mark.parametrize("with_s", [False, True])
+def test_stats_of_gram_matches_reference(C, dtype, with_s):
+    q = 64
+    rng = np.random.default_rng(C)
+    rows = rng.choice([-1, 1], size=(C, q))
+    G = (rows @ rows.T).astype(dtype)
+    Sv = rng.uniform(-1, 1, (C, C)) if with_s else None
+    s_loss, off, dist = _stats_of_gram(G, q, Sv)
+    ref_loss, ref_off, ref_dist = reference_stats_of_gram(G, q, Sv)
+    assert s_loss == ref_loss
+    assert off == ref_off
+    assert dist.dtype == ref_dist.dtype
+    assert np.array_equal(dist, ref_dist)

@@ -1,3 +1,4 @@
+import logging
 import tracemalloc
 
 import numpy as np
@@ -261,6 +262,21 @@ class TestEvaluate:
         # ranking all queries at once needs about 33 bytes per query x record pair
         assert peak < len(queries) * len(db) * 33 / 10
         assert peak > len(db) * 8  # it did see one query's int64 sort order
+
+    @pytest.mark.parametrize("n_q, chunks, rows", [(2, 1, 2), (2581, 1, 2581), (2582, 2, 2581)])
+    def test_logs_its_chunking(self, n_q, chunks, rows, caplog):
+        # 1000 records: EVAL_CHUNK_BYTES // (EVAL_BYTES_PER_PAIR * 1000) = 2581 query rows per chunk
+        assert evaluation.EVAL_CHUNK_BYTES // (evaluation.EVAL_BYTES_PER_PAIR * 1000) == 2581
+        rng = np.random.default_rng(13)
+        db = random_db(rng, 1000, 8, 5)
+        queries = CodeDatabase(np.zeros(n_q, dtype=np.int64), np.ones((n_q, 8), dtype=np.int8))
+        with caplog.at_level(logging.INFO, logger="shc.evaluation"):
+            evaluate(queries, db, [10], pr_grid=[10], workers=3)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"evaluate: {n_q} queries in {chunks} chunks of up to {rows} rows "
+            f"({evaluation.EVAL_BYTES_PER_PAIR} B per query x record pair, "
+            f"{evaluation.EVAL_CHUNK_BYTES} B per chunk, 1000 records), 3 workers"
+        ]
 
     def test_large_label_values_allocate_nothing_of_their_size(self):
         # labels {0, 2^32-1} must rank and count like {0, 1}, not size an array by 2^32
