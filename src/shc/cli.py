@@ -20,7 +20,7 @@ from .core import (
     read_codes,
     write_centers,
 )
-from .evaluation import DEFAULT_PR_GRID, evaluate, worker_count
+from .evaluation import evaluate, worker_count
 from .gv import compute_min_distance
 from .optimizer import (
     INIT_GREEDY,
@@ -248,11 +248,7 @@ def _cmd_eval(args) -> int:
     db = read_codes(args.db)
     queries = read_codes(args.queries)
     top_ks, labels = _parse_cutoffs(args.topk, len(db), allow_all=True)
-    grid = (
-        list(DEFAULT_PR_GRID)
-        if args.pr_grid is None
-        else _parse_cutoffs(args.pr_grid, len(db), allow_all=False)[0]
-    )
+    grid = None if args.pr_grid is None else _parse_cutoffs(args.pr_grid, len(db), allow_all=False)[0]
     report = evaluate(queries, db, top_ks, pr_grid=grid, workers=worker_count())
     payload = {
         "map_at": {label: report.map_at[k] for label, k in zip(labels, top_ks)},

@@ -203,9 +203,11 @@ class SimilarityMatrix:
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionMismatchError(f"similarity matrix must be square, got shape {arr.shape}")
+        if arr.shape[0] < 1:
+            raise ValidationError("similarity matrix needs at least one class")
         if not np.isfinite(arr).all():
             raise ValidationError("similarity entries must be finite")
-        asym = np.abs(arr - arr.T).max() if arr.size else 0.0
+        asym = np.abs(arr - arr.T).max()
         if asym > SNAP_TOL:
             raise ValidationError(f"similarity matrix asymmetry {asym:g} exceeds tolerance {SNAP_TOL:g}")
         diag_dev = np.abs(np.diag(arr) - 1.0).max()

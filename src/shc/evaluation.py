@@ -175,7 +175,7 @@ def evaluate(
     if not grid or any(k < 1 for k in grid):
         raise ValidationError(f"PR grid cutoffs must be >= 1, got {grid}")
 
-    cutoffs = sorted(set(top_ks) | set(grid))
+    cutoffs = sorted(set(top_ks) | set(grid) | {len(db)})  # hits at N: each query's relevant count
     col = {k: i for i, k in enumerate(cutoffs)}
     cut_arr = np.asarray(cutoffs)
 
@@ -200,10 +200,7 @@ def evaluate(
     # sum each column in the same order however the queries were chunked.
     hits, ap = (np.asfortranarray(np.vstack(stats)) for stats in zip(*parts))
 
-    # Relevant records per query label, from the labels present (never sized by a label value).
-    db_label, db_count = np.unique(db.labels, return_counts=True)
-    at = np.minimum(np.searchsorted(db_label, queries.labels), len(db_label) - 1)
-    totals = np.where(db_label[at] == queries.labels, db_count[at], 0).astype(np.float64)
+    totals = hits[:, col[len(db)]]
 
     k_eff = np.minimum(cut_arr, len(db))
     precision_by_k = (hits / k_eff).mean(axis=0)

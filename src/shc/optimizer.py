@@ -20,6 +20,10 @@ each column h_i, and first-order multiplier updates.
 All matrices follow the column convention: H, M, Lambda are (q, C) with
 column i belonging to class i; K and alpha are (C, C) with unused zero
 diagonals.
+
+Every function here takes S as a SimilarityMatrix or as an array within the
+similarity-file rules (finite, symmetric with a unit diagonal within SNAP_TOL,
+entries in [-1, 1]), which it snaps exactly; any other S is a ValidationError.
 """
 
 import logging
@@ -166,14 +170,15 @@ class AlmState:
         )
 
 
-def _sim_values(S, C: int | None = None) -> np.ndarray:
-    """Similarity values as a square float array; with ``C`` given, check it is C x C."""
-    arr = S.values if isinstance(S, SimilarityMatrix) else np.asarray(S, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatchError(f"similarity matrix must be square, got shape {arr.shape}")
-    if C is not None and arr.shape[0] != C:
-        raise DimensionMismatchError(f"similarity is {arr.shape[0]}x{arr.shape[0]} but C={C}")
-    return arr
+def _similarity(S, C: int | None = None) -> SimilarityMatrix:
+    """S as a :class:`SimilarityMatrix`, the one way into stage 2; with ``C`` given, check it is C x C.
+
+    Anything else passes only the similarity-file rules of :meth:`SimilarityMatrix.snap`.
+    """
+    sim = S if isinstance(S, SimilarityMatrix) else SimilarityMatrix.snap(S)
+    if C is not None and sim.C != C:
+        raise DimensionMismatchError(f"similarity is {sim.C}x{sim.C} but C={C}")
+    return sim
 
 
 def _gram_stats(rows, Sv=None) -> tuple[float | None, float, np.ndarray]:
@@ -190,20 +195,17 @@ def _gram_stats(rows, Sv=None) -> tuple[float | None, float, np.ndarray]:
 
 def _stats_of_gram(G: np.ndarray, q: int, Sv=None) -> tuple[float | None, float, np.ndarray]:
     """:func:`_gram_stats` from a Gram matrix G of exact integers (float or int) of length-q rows."""
-    s_loss = None if Sv is None else _fit_loss(Sv, G, q, np.empty(G.shape))
+    s_loss = None
+    if Sv is not None:  # ||Sv - G/q||_F^2 in one C x C float64 temporary
+        fit = G / q
+        np.subtract(Sv, fit, out=fit)
+        np.multiply(fit, fit, out=fit)
+        s_loss = float(fit.sum())
     C = G.shape[0]
     dist = G[np.less.outer(np.arange(C), np.arange(C))]  # the i < j entries, row-major
     np.subtract(q, dist, out=dist)
     np.floor_divide(dist, 2, out=dist)
     return s_loss, float(G.sum() - np.trace(G)), dist
-
-
-def _fit_loss(Sv: np.ndarray, G: np.ndarray, q: int, out: np.ndarray) -> float:
-    """The similarity loss ||Sv - G/q||_F^2, computed in the C x C float64 buffer ``out``."""
-    np.divide(G, q, out=out)
-    np.subtract(Sv, out, out=out)
-    np.multiply(out, out, out=out)
-    return float(out.sum())
 
 
 def _count_close_pairs(rows, d: int) -> int:
@@ -315,7 +317,7 @@ def alm_objective(state: AlmState, S, hp: AlmHyperParams) -> float:
     alpha/beta terms on the residuals r_ij = q - 2d - h_i^T h_j - k_ij
     (off-diagonal pairs only).
     """
-    Sv = _sim_values(S, state.C)
+    Sv = _similarity(S, state.C).values
     q, C = state.q, state.C
     H, M = state.H, state.M
     G = H.T @ H
@@ -344,7 +346,7 @@ def update_proxy(state: AlmState, S, hp: AlmHyperParams) -> np.ndarray:
     """
     from scipy.linalg import cho_factor, cho_solve  # only optimize needs scipy; keeps CLI start-up light
 
-    Sv = _sim_values(S, state.C)
+    Sv = _similarity(S, state.C).values
     q = state.q
     H = state.H
     A = (2.0 / q**2) * (H @ H.T)
@@ -374,7 +376,7 @@ def center_gradient(state: AlmState, S, hp: AlmHyperParams, i: int) -> np.ndarra
     of each alpha/beta residual (r_ij and r_ji).  Matches central finite
     differences of :func:`alm_objective`.
     """
-    Sv = _sim_values(S, state.C)
+    Sv = _similarity(S, state.C).values
     q, C = state.q, state.C
     H, M = state.H, state.M
     h = H[:, i]
@@ -427,7 +429,7 @@ def constrained_objective(centers: CenterSet, S, mu: float) -> float:
 
     ||S - (1/q) H^T H||_F^2 + mu * sum_{i != j} h_i^T h_j.
     """
-    s_loss, off_diagonal, _ = _gram_stats(centers.matrix, _sim_values(S, centers.C))
+    s_loss, off_diagonal, _ = _gram_stats(centers.matrix, _similarity(S, centers.C).values)
     return s_loss + mu * off_diagonal
 
 
@@ -461,8 +463,8 @@ def optimize(
     augmented-Lagrangian value.  Deterministic for fixed (S, q, d, hp,
     seed, init).
     """
-    Sv = _sim_values(S)
-    C = Sv.shape[0]
+    S = _similarity(S)  # snapped once; the steps below take the SimilarityMatrix as it is
+    Sv, C = S.values, S.C
     if not 1 <= d <= q:
         raise ValidationError(f"d must lie in [1, {q}], got {d}")
     state = AlmState.initial(init_centers(q, C, d, seed, method=init), d)
@@ -471,16 +473,16 @@ def optimize(
     best_H = state.H.copy()
     trace = []
     for _ in range(hp.cycles):
-        state.M = update_proxy(state, Sv, hp)
+        state.M = update_proxy(state, S, hp)
         state.K = update_slack(state, hp)
         for i in range(C):
-            update_center(state, Sv, hp, i)
+            update_center(state, S, hp, i)
             update_multipliers(state, hp, i)
         key = _gram_score(state.H, Sv, d, hp.mu)
         if key < best_key:
             best_key = key
             best_H = state.H.copy()
-        trace.append(alm_objective(state, Sv, hp))
+        trace.append(alm_objective(state, S, hp))
 
     if best_key[0]:
         log.warning(
@@ -496,15 +498,15 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
     Discrete cyclic coordinate descent on the bits (as in Shen et al.,
     "Supervised Discrete Hashing", CVPR 2015) on s_loss = ||S - G/q||_F^2,
     G = H H^T, with G kept as exact integers.  A sweep visits each center
-    i once.  With r = S[i] - G[i]/q and r_i = 0, flipping bit k of h_i
+    i once.  With r = S[i] - G[i]/q (so r_i = 0), flipping bit k of h_i
     changes s_loss by (8/q) (h_ik (r @ H)_k + (C-1)/q).  A flip is allowed
     only if every tight pair j (G_ij > q - 2d - 2, distance <= d) has the
     same bit k, so the flip moves those pairs apart; the best allowed flip
-    that lowers s_loss by more than rounding (8e-9 C/q, times max |S| when
-    that exceeds 1) is applied and row and column i of G are updated.  Hence
-    the count of pairs closer than d never rises, and an exact tie can not
-    flip back and forth for ever.  Sweeps repeat until one flips nothing, so
-    on return no allowed single flip lowers s_loss by more than that margin.
+    that lowers s_loss by more than rounding (8e-9 C/q) is applied and row
+    and column i of G are updated.  Hence the count of pairs closer than d
+    never rises, and an exact tie can not flip back and forth for ever.
+    Sweeps repeat until one flips nothing, so on return no allowed single
+    flip lowers s_loss by more than that margin.
     Returns the centers and the s_loss after each sweep.  Deterministic.
 
     The rows r are kept in a C x C matrix, so a visit costs one product
@@ -512,21 +514,20 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
     unmasked gains would lower s_loss, and a flip rewrites row and column i
     of G and of that matrix in O(C).
     """
-    Sv = _sim_values(S, centers.C)
+    Sv = _similarity(S, centers.C).values
     C, q = centers.C, centers.q
     if not 1 <= d <= q:
         raise ValidationError(f"d must lie in [1, {q}], got {d}")
-    sym = 0.5 * (Sv + Sv.T)  # equals Sv when S is symmetric; otherwise gives the same s_loss changes
     H = centers.matrix.astype(np.float64)
     G = centers.matrix.astype(np.int64) @ centers.matrix.T.astype(np.int64)
     tight_above = q - 2 * d - 2
-    # far above the rounding error of r @ H, so each applied flip really lowers s_loss
-    lowers = -(C - 1) / q - 1e-9 * C * max(1.0, float(np.abs(sym).max()))
-    # R = sym - G/q with a zero diagonal, kept exact: a flip rewrites row i from
-    # the same expression and copies it (and G's row) into the column, since
-    # sym and G are exactly symmetric.
-    R = sym - G / q
-    np.fill_diagonal(R, 0.0)
+    # far above the rounding error of r @ H (|S| <= 1), so each applied flip really lowers s_loss
+    lowers = -(C - 1) / q - 1e-9 * C
+    # R = S - G/q, kept exact: a flip rewrites row i from the same expression
+    # and copies it (and G's row) into the column, since S and G are exactly
+    # symmetric.  Its diagonal is S_ii - G_ii/q = 1 - q/q, exactly 0.0, and a
+    # flip leaves G_ii alone.
+    R = Sv - G / q
     loss_buf = np.empty((C, C))
     trace = []
     flips = 1
@@ -551,11 +552,10 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
             G[i] += step
             G[:, i] = G[i]
             H[i, k] = -H[i, k]
-            R[i] = sym[i] - G[i] / q
-            R[i, i] = 0.0
+            R[i] = Sv[i] - G[i] / q
             R[:, i] = R[i]
             flips += 1
-        s_loss = _fit_loss(Sv, G, q, loss_buf)
+        s_loss = float(np.multiply(R, R, out=loss_buf).sum())  # R is exactly S - G/q
         trace.append(s_loss)
         if log.isEnabledFor(logging.INFO):
             dist = _stats_of_gram(G, q)[2]
@@ -574,5 +574,5 @@ def quality_metrics(centers: CenterSet, S) -> tuple[int | None, float]:
     With a single center there are no pairs, so the distance is reported as
     None rather than a misleading 0.
     """
-    s_loss, _, dist = _gram_stats(centers.matrix, _sim_values(S, centers.C))
+    s_loss, _, dist = _gram_stats(centers.matrix, _similarity(S, centers.C).values)
     return (int(dist.min()) if dist.size else None), s_loss

@@ -533,6 +533,9 @@ class TestGoldenBytes:
     def test_pipeline_outputs_match_recorded_digests(self, tmp_path):
         run_golden_pipeline(tmp_path)
         assert digests(tmp_path) == GOLDEN_SHA256
+        for name in ("d1", "emb", "log"):
+            report = json.loads((tmp_path / f"centers_{name}.json").read_text(encoding="utf-8"))
+            assert report["s_loss"] == report["objective_trace"][-1]
 
     def test_alm_outputs_match_recorded_digests(self, tmp_path):
         run_golden_pipeline(tmp_path)

@@ -293,6 +293,10 @@ class TestSimilarityMatrix:
         with pytest.raises(ValidationError):
             SimilarityMatrix.snap([[1.0, 0.2], [0.21, 1.0]])
 
+    def test_snap_rejects_empty(self):
+        with pytest.raises(ValidationError, match="at least one class"):
+            SimilarityMatrix.snap(np.zeros((0, 0)))
+
     def test_immutable(self):
         m = SimilarityMatrix([[1.0, 0.5], [0.5, 1.0]])
         with pytest.raises(ValueError):

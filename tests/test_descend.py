@@ -7,7 +7,7 @@ import pytest
 from shc.core import CenterSet, DimensionMismatchError, ValidationError
 from shc.gv import compute_min_distance
 from shc.optimizer import (
-    _sim_values,
+    _similarity,
     _stats_of_gram,
     descend,
     init_centers,
@@ -105,13 +105,16 @@ class TestDescend:
         assert a == b
         assert trace_a == trace_b
 
-    def test_asymmetric_similarity_descends_its_symmetric_part(self):
+    def test_rejects_asymmetric_similarity(self):
         S, d, init = cosine_fixture(16, 32, seed=4)
         noise = np.random.default_rng(4).normal(0, 0.1, (16, 16))
-        a, trace_a = descend(S.values + noise, init, d)
-        b, _ = descend(S.values + 0.5 * (noise + noise.T), init, d)
-        assert a == b
-        assert trace_a[-1] == quality_metrics(a, S.values + noise)[1]
+        with pytest.raises(ValidationError, match="asymmetry"):
+            descend(S.values + noise, init, d)
+        # its symmetric part, kept in [-1, 1] with a unit diagonal, is a valid S
+        sym = np.clip(S.values + 0.5 * (noise + noise.T), -1.0, 1.0)
+        np.fill_diagonal(sym, 1.0)
+        out, trace = descend(sym, init, d)
+        assert trace[-1] == quality_metrics(out, sym)[1]
 
     def test_single_center_is_a_fixed_point(self):
         init = init_centers(8, 1, 3, seed=0)
@@ -167,11 +170,11 @@ def test_gap_to_exhaustive_optimum(C):
 def reference_descend(S, centers, d):
     """The descent as first written: r, the gains and the tight-pair mask rebuilt on every visit.
 
-    The fast :func:`descend` keeps R = sym - G/q and builds the mask only for
+    The fast :func:`descend` keeps R = S - G/q and builds the mask only for
     an improving flip; it must return the same centers and trace bit for bit.
     """
     log = logging.getLogger("shc.optimizer")
-    Sv = _sim_values(S, centers.C)
+    Sv = _similarity(S, centers.C).values
     C, q = centers.C, centers.q
     sym = 0.5 * (Sv + Sv.T)
     H = centers.matrix.astype(np.float64)
@@ -225,8 +228,6 @@ def oracle_cases():
         S = np.eye(C) if kind == "identity" else np.kron(np.eye(C // 4), np.ones((4, 4)))
         d = compute_min_distance(q, C)
         yield f"{kind}-{C}x{q}", S, d, init_centers(q, C, d, seed=0)
-    S, d, init = cosine_fixture(16, 32, seed=4)
-    yield "asymmetric", S.values + np.random.default_rng(4).normal(0, 0.1, (16, 16)), d, init
     S, d, init = cosine_fixture(16, 32, seed=2)
     yield "random-init", S, d, init_centers(32, 16, 1, seed=2)
     rows = init.matrix.copy()
@@ -249,6 +250,7 @@ def test_descend_matches_reference(name, S, d, init, caplog):
     assert trace == ref_trace
     assert messages == ref_messages
     assert len(messages) == len(trace)
+    assert trace[-1] == quality_metrics(out, S)[1]  # the last sweep's loss, taken from R, is s_loss
     # the same result without the per-sweep distances that only the INFO line needs
     quiet, quiet_trace = descend(S, init, d)
     assert np.array_equal(quiet.matrix, ref.matrix)

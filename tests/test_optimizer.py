@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from shc.core import CenterSet, InfeasibleError, ValidationError
+from shc.core import CenterSet, InfeasibleError, SimilarityMatrix, ValidationError
 from shc.gv import compute_min_distance
 from shc.optimizer import (
     AlmHyperParams,
@@ -11,6 +11,7 @@ from shc.optimizer import (
     alm_objective,
     center_gradient,
     constrained_objective,
+    descend,
     init_centers,
     optimize,
     quality_metrics,
@@ -448,3 +449,93 @@ class TestQualityMetrics:
         d_min, s_loss = quality_metrics(cs, [[1.0]])
         assert d_min is None
         assert s_loss == 0.0
+
+
+GATE_C, GATE_Q = 6, 16
+GATE_D = compute_min_distance(GATE_Q, GATE_C)
+GATE_HP = AlmHyperParams(cycles=2, inner=1)
+
+
+def gate_call(name, S):
+    """Call one stage-2 entry point on S, with every other argument built afresh and seeded."""
+    rng = np.random.default_rng(7)
+    centers = init_centers(GATE_Q, GATE_C, GATE_D, seed=7)
+    state = random_state(rng, GATE_Q, GATE_C, GATE_D)
+    if name == "descend":
+        return descend(S, centers, GATE_D)
+    if name == "optimize":
+        return optimize(S, GATE_Q, GATE_D, GATE_HP, seed=7)
+    if name == "quality_metrics":
+        return quality_metrics(centers, S)
+    if name == "constrained_objective":
+        return constrained_objective(centers, S, 0.625)
+    if name == "alm_objective":
+        return alm_objective(state, S, GATE_HP)
+    if name == "update_proxy":
+        return update_proxy(state, S, GATE_HP)
+    if name == "center_gradient":
+        return center_gradient(state, S, GATE_HP, 1)
+    if name == "update_center":
+        return update_center(state, S, GATE_HP, 1)
+    raise AssertionError(name)
+
+
+def plain(result):
+    """A result as nested lists and numbers, so two results compare with ==."""
+    if isinstance(result, (tuple, list)):
+        return [plain(r) for r in result]
+    if isinstance(result, CenterSet):
+        return result.matrix.tolist()
+    if isinstance(result, np.ndarray):
+        return result.tolist()
+    return result
+
+
+def broken_similarity(kind):
+    S = random_similarity(np.random.default_rng(3), GATE_C)
+    if kind == "empty":
+        return np.zeros((0, 0))
+    if kind == "asymmetric":
+        S[0, 1] += 1e-6
+    elif kind == "diagonal":
+        S[2, 2] = 0.9
+    else:
+        S[0, 1] = S[1, 0] = {"nan": np.nan, "inf": np.inf, "out-of-range": 1.5}[kind]
+    return S
+
+
+GATE_ENTRY_POINTS = ["descend", "optimize", "quality_metrics", "constrained_objective",
+                     "alm_objective", "update_proxy", "center_gradient", "update_center"]
+
+
+class TestSimilarityGate:
+    """Every stage-2 entry point takes S only as a SimilarityMatrix or under the similarity-file rules."""
+
+    @pytest.mark.parametrize("kind", ["nan", "inf", "asymmetric", "out-of-range", "diagonal", "empty"])
+    @pytest.mark.parametrize("name", GATE_ENTRY_POINTS)
+    def test_rejects_invalid_similarity(self, name, kind):
+        with pytest.raises(ValidationError):
+            gate_call(name, broken_similarity(kind))
+
+    @pytest.mark.parametrize("name", GATE_ENTRY_POINTS)
+    def test_near_valid_similarity_is_snapped(self, name):
+        S = random_similarity(np.random.default_rng(3), GATE_C)
+        near = S + np.random.default_rng(4).uniform(-1e-12, 1e-12, S.shape)
+        near[0, 1], near[1, 0] = 1.0 + 1e-12, 1.0
+        assert not np.array_equal(near, SimilarityMatrix.snap(near).values)
+        assert plain(gate_call(name, near)) == plain(gate_call(name, SimilarityMatrix.snap(near)))
+
+    def test_optimize_snaps_a_raw_array_once(self, monkeypatch):
+        calls = []
+        snap = SimilarityMatrix.snap.__func__
+
+        def counted(cls, values):
+            calls.append(1)
+            return snap(cls, values)
+
+        monkeypatch.setattr(SimilarityMatrix, "snap", classmethod(counted))
+        S = random_similarity(np.random.default_rng(3), GATE_C)
+        optimize(S, GATE_Q, GATE_D, GATE_HP, seed=7)
+        assert len(calls) == 1
+        optimize(SimilarityMatrix(S), GATE_Q, GATE_D, GATE_HP, seed=7)
+        assert len(calls) == 1
