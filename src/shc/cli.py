@@ -220,7 +220,7 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
-def _parse_cutoffs(text: str, n_db: int, allow_all: bool):
+def _parse_cutoffs(text: str, n_db: int, allow_all: bool, flag: str):
     cutoffs = []
     labels = []
     for token in text.split(","):
@@ -234,21 +234,21 @@ def _parse_cutoffs(text: str, n_db: int, allow_all: bool):
         try:
             value = int(token)
         except ValueError:
-            raise ValidationError(f"bad topK value {token!r}") from None
+            raise ValidationError(f"bad {flag} value {token!r}") from None
         if value < 1:
-            raise ValidationError(f"topK values must be >= 1, got {value}")
+            raise ValidationError(f"{flag} values must be >= 1, got {value}")
         cutoffs.append(value)
         labels.append(str(value))
     if not cutoffs:
-        raise ValidationError(f"no cutoffs in {text!r}")
+        raise ValidationError(f"no cutoffs in {flag} {text!r}")
     return cutoffs, labels
 
 
 def _cmd_eval(args) -> int:
     db = read_codes(args.db)
     queries = read_codes(args.queries)
-    top_ks, labels = _parse_cutoffs(args.topk, len(db), allow_all=True)
-    grid = None if args.pr_grid is None else _parse_cutoffs(args.pr_grid, len(db), allow_all=False)[0]
+    top_ks, labels = _parse_cutoffs(args.topk, len(db), True, "--topk")
+    grid = None if args.pr_grid is None else _parse_cutoffs(args.pr_grid, len(db), False, "--pr-grid")[0]
     report = evaluate(queries, db, top_ks, pr_grid=grid, workers=worker_count())
     payload = {
         "map_at": {label: report.map_at[k] for label, k in zip(labels, top_ks)},

@@ -71,6 +71,8 @@ LAMBDA_INIT = 0.1
 
 # Random candidates drawn per slot in the greedy farthest-point init.
 _CANDIDATES_PER_SLOT = 200
+# Candidates ranked at a time against the accepted centers.
+_RANK_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -250,11 +252,19 @@ def init_centers(q: int, C: int, d: int, seed: int, method: str = INIT_GREEDY) -
         if filled == 0:
             rows[0] = cand[0]
         else:
-            min_dist = _hamming(_pack_words(cand), words[:filled], q).min(axis=1)
-            qualified = np.nonzero(min_dist >= d)[0]
-            if qualified.size:
-                rows[filled] = cand[qualified[0]]
+            # The first qualifying candidate is taken, so ranking stops at the first
+            # block that holds one; only a slot with none ranks all of them.
+            packed = _pack_words(cand)
+            ranked = []
+            for start in range(0, _CANDIDATES_PER_SLOT, _RANK_BLOCK):
+                min_dist = _hamming(packed[start:start + _RANK_BLOCK], words[:filled], q).min(axis=1)
+                qualified = np.flatnonzero(min_dist >= d)
+                if qualified.size:
+                    rows[filled] = cand[start + qualified[0]]
+                    break
+                ranked.append(min_dist)
             else:
+                min_dist = np.concatenate(ranked)
                 best = int(np.argmax(min_dist))
                 if min_dist[best] == 0:
                     rows[filled] = _exhaustive_max_min(words[:filled], q)
@@ -510,9 +520,12 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
     Returns the centers and the s_loss after each sweep.  Deterministic.
 
     The rows r are kept in a C x C matrix, so a visit costs one product
-    r @ H; the tight-pair mask is built only when the best flip of the
-    unmasked gains would lower s_loss, and a flip rewrites row and column i
-    of G and of that matrix in O(C).
+    r @ H; the tight-pair mask, an OR of packed bit words, is built only
+    when the best flip of the unmasked gains would lower s_loss, and a flip
+    rewrites row and column i of G and of that matrix in O(C).  After a
+    sweep that flipped fewer than C/4 bits, a sweep first bounds every
+    center's masked gains from one product R @ H and skips the visits that
+    bound proves flip nothing.
     """
     Sv = _similarity(S, centers.C).values
     C, q = centers.C, centers.q
@@ -529,34 +542,79 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
     # flip leaves G_ii alone.
     R = Sv - G / q
     loss_buf = np.empty((C, C))
+    # bit k of words[i] is set where h_ik = +1, so words[j] ^ words[i] has the bits where j and i differ
+    words = [int.from_bytes(row.tobytes(), "little") for row in np.packbits(H > 0, axis=1, bitorder="little")]
+    gain = np.empty(q)
+    step = np.empty(C, dtype=np.int64)
+    # The screen.  A visit to i flips nothing if every gain h_ik (R[i] @ H)_k of a bit k
+    # that the mask leaves open is >= lowers: the unmasked best is then either >= lowers
+    # or blocked, and the masked best is >= lowers.  At the start of a screened sweep
+    # P = R @ H, and floor_i is the least P_ik h_ik over the bits open at that point.  A
+    # flip of bit k of i (h = h_ik) moves R_ji (j != i) by 2 h h_jk / q, so it moves every
+    # P_jm by at most 2/q, except P_jk, which loses 2 h R_ji more as h_ik changes sign.
+    # That part is applied to P and folded into floor, and bar rises by 2/q per flip.
+    # The flip can open a bit of j's mask only if i was tight with j before it (a pair
+    # that becomes tight only blocks more bits), so those floors drop to -inf.  Hence
+    # floor_j >= bar proves that the visit to j flips nothing, once tol covers the
+    # rounding: the gemm and the gemv are each within about C^2 eps of the exact
+    # products (C terms of |R| <= 2), and each of the at most C flips adds at most
+    # (2C + 6) eps (the column update, the rounded R_ji and the sum in bar), so
+    # 64 C^2 eps covers it all.
+    tol = 64 * C * C * np.finfo(np.float64).eps
     trace = []
-    flips = 1
+    flips = C  # the first sweep is not screened
     while flips:
+        floor = None
+        if flips < C / 4:
+            T = np.greater(G, tight_above, out=loss_buf)  # 1.0 where tight, exact
+            P = R @ H
+            blocked = (T @ H) * H < T.sum(axis=1)[:, None]  # exact small integers
+            floor = np.where(blocked, np.inf, P * H).min(axis=1)
+            bar = lowers + tol
+            certified = 0
         flips = 0
         for i in range(C):
-            gain = R[i] @ H
+            if floor is not None and floor[i] >= bar:
+                certified += 1
+                continue
+            np.dot(R[i], H, out=gain)
             gain *= H[i]
             k = int(gain.argmin())
             if not gain[k] < lowers:
                 continue
             # The mask only raises entries to inf, so it matters only when it blocks
             # the unmasked best bit; argmin keeps the first minimum either way.
-            blocked = (H[G[i] > tight_above] != H[i]).any(axis=0)
-            if blocked[k]:
-                gain[blocked] = np.inf
+            tight = (G[i] > tight_above).nonzero()[0]
+            mask, own = 0, words[i]
+            for j in tight.tolist():
+                mask |= words[j] ^ own
+            if mask >> k & 1:
+                bits = np.frombuffer(mask.to_bytes((q + 7) // 8, "little"), dtype=np.uint8)
+                gain[np.unpackbits(bits, count=q, bitorder="little").view(bool)] = np.inf
                 k = int(gain.argmin())
                 if not gain[k] < lowers:
                     continue
-            step = (-2.0 * H[i, k] * H[:, k]).astype(np.int64)
+            h = H[i, k]
+            if floor is not None:
+                column = P[:, k]
+                column -= (2.0 * h) * R[i]  # R[i] is still R[:, i] before the flip
+                np.minimum(floor, column * H[:, k], out=floor)
+                floor[tight] = -np.inf
+                bar += 2 / q
+            np.multiply(H[:, k], -2.0 * h, out=step, casting="unsafe")
             step[i] = 0
             G[i] += step
             G[:, i] = G[i]
-            H[i, k] = -H[i, k]
-            R[i] = Sv[i] - G[i] / q
+            H[i, k] = -h
+            words[i] ^= 1 << k
+            np.divide(G[i], q, out=R[i])
+            np.subtract(Sv[i], R[i], out=R[i])
             R[:, i] = R[i]
             flips += 1
         s_loss = float(np.multiply(R, R, out=loss_buf).sum())  # R is exactly S - G/q
         trace.append(s_loss)
+        if floor is not None:
+            log.debug("descend: sweep %d screened, %d of %d visits certified", len(trace), certified, C)
         if log.isEnabledFor(logging.INFO):
             dist = _stats_of_gram(G, q)[2]
             log.info(

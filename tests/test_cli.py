@@ -315,6 +315,20 @@ class TestEval:
         assert main(["eval", "--db", str(db_path), "--queries", str(q_path),
                      "--topk", "zero", "--out", str(tmp_path / "o.json")]) == 1
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--topk", "zero", "bad --topk value 'zero'"),
+        ("--topk", "5,0", "--topk values must be >= 1, got 0"),
+        ("--topk", " , ", "no cutoffs in --topk ' , '"),
+        ("--pr-grid", "all", "bad --pr-grid value 'all'"),
+        ("--pr-grid", "0,5", "--pr-grid values must be >= 1, got 0"),
+        ("--pr-grid", ",", "no cutoffs in --pr-grid ','"),
+    ])
+    def test_bad_cutoffs_name_their_flag(self, flag, value, message, tmp_path, code_files, capsys):
+        db_path, q_path = code_files
+        assert main(["eval", "--db", str(db_path), "--queries", str(q_path),
+                     flag, value, "--out", str(tmp_path / "o.json")]) == 1
+        assert capsys.readouterr().err == f"shc: error: {message}\n"
+
     def test_dimension_mismatch_exits_1(self, tmp_path, code_files):
         db_path, _ = code_files
         other = CodeDatabase([0], np.ones((1, 8), dtype=np.int8))

@@ -3,10 +3,13 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shc.core import CenterSet, DimensionMismatchError, ValidationError
 from shc.gv import compute_min_distance
 from shc.optimizer import (
+    INIT_HADAMARD,
     _similarity,
     _stats_of_gram,
     descend,
@@ -233,9 +236,29 @@ def oracle_cases():
     rows = init.matrix.copy()
     rows[1::2] = rows[::2]
     yield "duplicated-init", S, d, CenterSet(rows)
+    # Cases whose later sweeps are screened (see SCREENED_CASES).
+    for kind in ("identity", "blocks"):  # many exact ties
+        C, q = 200, 64
+        S = np.eye(C) if kind == "identity" else np.kron(np.eye(C // 4), np.ones((4, 4)))
+        d = compute_min_distance(q, C)
+        yield f"{kind}-{C}x{q}", S, d, init_centers(q, C, d, seed=0)
+    S, _, _ = cosine_fixture(300, 64)
+    yield "cosine-300x64-d1", S, 1, init_centers(64, 300, 1, seed=0)  # no tight pairs
+    yield "cosine-150x128", *cosine_fixture(150, 128)  # two 64-bit words per center
+    S, d, _ = cosine_fixture(100, 64)
+    yield "hadamard-100x64", S, d, init_centers(64, 100, d, seed=0, method=INIT_HADAMARD)
 
 
 ORACLE_CASES = list(oracle_cases())
+SCREENED_CASES = {"cosine-600x64", "identity-200x64", "blocks-200x64", "cosine-300x64-d1",
+                  "cosine-150x128", "hadamard-100x64"}
+
+
+def screened_sweeps(records):
+    """{sweep: certified visits} from descend's DEBUG lines."""
+    lines = [r.getMessage().split() for r in records
+             if r.levelno == logging.DEBUG and r.getMessage().startswith("descend: sweep")]
+    return {int(words[2]): int(words[4]) for words in lines}
 
 
 @pytest.mark.parametrize("name, S, d, init", ORACLE_CASES, ids=[case[0] for case in ORACLE_CASES])
@@ -243,13 +266,16 @@ def test_descend_matches_reference(name, S, d, init, caplog):
     with caplog.at_level(logging.INFO, logger="shc.optimizer"):
         ref, ref_trace = reference_descend(S, init, d)
         ref_messages = [r.getMessage() for r in caplog.records]
-        caplog.clear()
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="shc.optimizer"):
         out, trace = descend(S, init, d)
-        messages = [r.getMessage() for r in caplog.records]
+    messages = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
     assert np.array_equal(out.matrix, ref.matrix)
     assert trace == ref_trace
     assert messages == ref_messages
     assert len(messages) == len(trace)
+    if name in SCREENED_CASES:
+        assert screened_sweeps(caplog.records)
     assert trace[-1] == quality_metrics(out, S)[1]  # the last sweep's loss, taken from R, is s_loss
     # the same result without the per-sweep distances that only the INFO line needs
     quiet, quiet_trace = descend(S, init, d)
@@ -272,3 +298,39 @@ def test_stats_of_gram_matches_reference(C, dtype, with_s):
     assert off == ref_off
     assert dist.dtype == ref_dist.dtype
     assert np.array_equal(dist, ref_dist)
+
+
+def test_screen_runs_after_quiet_sweeps_and_skips_visits(caplog):
+    """A sweep is screened exactly when the one before it flipped fewer than C/4 bits,
+    and on the 600-class cosine case the screen certifies (skips) visits."""
+    S, d, init = cosine_fixture(600, 64)
+    with caplog.at_level(logging.DEBUG, logger="shc.optimizer"):
+        _, trace = descend(S, init, d)
+    flipped = [int(r.getMessage().split("flipped ")[1].split()[0]) for r in caplog.records
+               if r.levelno == logging.INFO]
+    certified = screened_sweeps(caplog.records)
+    assert len(flipped) == len(trace)
+    assert set(certified) == {n + 1 for n in range(1, len(trace)) if flipped[n - 1] < 600 / 4}
+    assert all(0 <= c <= 600 for c in certified.values())
+    assert sum(certified.values()) > 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    C=st.integers(1, 24),
+    q=st.sampled_from([8, 16, 33, 64, 65]),
+    d_frac=st.floats(0.0, 1.0),
+    kind=st.sampled_from(["cosine", "identity"]),
+    seed=st.integers(0, 2**16),
+)
+def test_descend_matches_reference_on_random_cases(C, q, d_frac, kind, seed):
+    d = 1 + int(d_frac * (q - 1))
+    if kind == "identity":
+        S = np.eye(C)
+    else:
+        S = cosine_similarity_matrix(np.random.default_rng(seed).normal(size=(C, 4)))
+    init = init_centers(q, C, d, seed)
+    ref, ref_trace = reference_descend(S, init, d)
+    out, trace = descend(S, init, d)
+    assert np.array_equal(out.matrix, ref.matrix)
+    assert trace == ref_trace

@@ -1,13 +1,28 @@
+import logging
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from shc.core import CenterSet, InfeasibleError, SimilarityMatrix, ValidationError
+from shc import optimizer
+from shc.core import (
+    CenterSet,
+    InfeasibleError,
+    SimilarityMatrix,
+    ValidationError,
+    _hamming,
+    _pack_words,
+)
 from shc.gv import compute_min_distance
 from shc.optimizer import (
     AlmHyperParams,
     AlmState,
+    INIT_GREEDY,
     INIT_HADAMARD,
+    _CANDIDATES_PER_SLOT,
+    _count_close_pairs,
+    _exhaustive_max_min,
+    _hadamard_centers,
     alm_objective,
     center_gradient,
     constrained_objective,
@@ -155,6 +170,87 @@ class TestInitCenters:
         rows = _sylvester_hadamard(q)
         assert rows.dtype == np.int8
         assert np.array_equal(rows, hadamard(q))
+
+
+log = logging.getLogger("shc.optimizer")
+
+
+def reference_init_centers(q: int, C: int, d: int, seed: int, method: str = INIT_GREEDY) -> CenterSet:
+    """init_centers as it was before the candidates were ranked in blocks: all of a slot's at once.
+
+    The body is verbatim; the fast :func:`init_centers` must return the same centers.
+    """
+    if q < 1:
+        raise ValidationError(f"code length must be positive, got {q}")
+    if C < 1:
+        raise ValidationError(f"class count must be positive, got {C}")
+    if not 1 <= d <= q:
+        raise ValidationError(f"d must lie in [1, {q}], got {d}")
+    if C > 2**q:
+        raise InfeasibleError(f"{C} classes do not fit in {{-1,+1}}^{q} ({2**q} codewords)")
+
+    if method == INIT_HADAMARD:
+        return _hadamard_centers(q, C, d)
+    if method != INIT_GREEDY:
+        raise ValidationError(f"unknown init method {method!r}")
+
+    rng = np.random.default_rng(seed)
+    rows = np.empty((C, q), dtype=np.int8)
+    words = np.empty((C, (q + 63) // 64), dtype=np.uint64)  # rows[:filled], packed
+    filled = 0
+    while filled < C:
+        cand = (rng.integers(0, 2, size=(_CANDIDATES_PER_SLOT, q), dtype=np.int8) * 2) - 1
+        if filled == 0:
+            rows[0] = cand[0]
+        else:
+            min_dist = _hamming(_pack_words(cand), words[:filled], q).min(axis=1)
+            qualified = np.nonzero(min_dist >= d)[0]
+            if qualified.size:
+                rows[filled] = cand[qualified[0]]
+            else:
+                best = int(np.argmax(min_dist))
+                if min_dist[best] == 0:
+                    rows[filled] = _exhaustive_max_min(words[:filled], q)
+                else:
+                    rows[filled] = cand[best]
+        words[filled] = _pack_words(rows[filled])
+        filled += 1
+
+    bad = _count_close_pairs(rows, d)
+    if bad:
+        log.warning(
+            "greedy init: %d of %d center pairs below target distance %d (q=%d, C=%d)",
+            bad, C * (C - 1) // 2, d, q, C,
+        )
+    return CenterSet(rows)
+
+
+class TestInitMatchesReference:
+    # Every slot of (64, 600, 21) takes a candidate from the first block of 16; (16, 200, 6)
+    # and (8, 200, 2) also take some from a later block, and most slots there have no
+    # candidate at distance >= d, so they take the argmax of all 200.
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("q, C, d", [(64, 600, 21), (16, 200, 6), (8, 200, 2), (65, 40, 30)])
+    def test_same_centers(self, q, C, d, seed):
+        assert np.array_equal(init_centers(q, C, d, seed).matrix, reference_init_centers(q, C, d, seed).matrix)
+
+    def test_same_centers_through_the_exhaustive_branch(self, monkeypatch):
+        # With 20 candidates per slot (one full block and a partial one), all of them
+        # often repeat accepted centers of q = 4, and the slot enumerates the 16 codewords.
+        calls = []
+
+        def counted(accepted, q):
+            calls.append(len(accepted))
+            return _exhaustive_max_min(accepted, q)
+
+        monkeypatch.setattr(optimizer, "_CANDIDATES_PER_SLOT", 20)
+        monkeypatch.setitem(globals(), "_CANDIDATES_PER_SLOT", 20)
+        monkeypatch.setattr(optimizer, "_exhaustive_max_min", counted)
+        for d in (1, 2):
+            for seed in range(4):
+                ref = reference_init_centers(4, 16, d, seed)
+                assert np.array_equal(init_centers(4, 16, d, seed).matrix, ref.matrix), (d, seed)
+        assert calls
 
 
 class TestObjective:
