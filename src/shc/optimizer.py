@@ -532,7 +532,8 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
     if not 1 <= d <= q:
         raise ValidationError(f"d must lie in [1, {q}], got {d}")
     H = centers.matrix.astype(np.float64)
-    G = centers.matrix.astype(np.int64) @ centers.matrix.T.astype(np.int64)
+    HT = H.T.copy()  # column k of H as a contiguous row
+    G = H @ H.T  # exact integers in float64, so no cast on a flip
     tight_above = q - 2 * d - 2
     # far above the rounding error of r @ H (|S| <= 1), so each applied flip really lowers s_loss
     lowers = -(C - 1) / q - 1e-9 * C
@@ -543,9 +544,9 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
     R = Sv - G / q
     loss_buf = np.empty((C, C))
     # bit k of words[i] is set where h_ik = +1, so words[j] ^ words[i] has the bits where j and i differ
-    words = [int.from_bytes(row.tobytes(), "little") for row in np.packbits(H > 0, axis=1, bitorder="little")]
-    gain = np.empty(q)
-    step = np.empty(C, dtype=np.int64)
+    words = [int.from_bytes(packed.tobytes(), "little")
+             for packed in np.packbits(H > 0, axis=1, bitorder="little")]
+    gain, step, row = np.empty(q), np.empty(C), np.empty(C)
     # The screen.  A visit to i flips nothing if every gain h_ik (R[i] @ H)_k of a bit k
     # that the mask leaves open is >= lowers: the unmasked best is then either >= lowers
     # or blocked, and the masked best is >= lowers.  At the start of a screened sweep
@@ -598,17 +599,17 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
             if floor is not None:
                 column = P[:, k]
                 column -= (2.0 * h) * R[i]  # R[i] is still R[:, i] before the flip
-                np.minimum(floor, column * H[:, k], out=floor)
+                np.minimum(floor, column * HT[k], out=floor)
                 floor[tight] = -np.inf
                 bar += 2 / q
-            np.multiply(H[:, k], -2.0 * h, out=step, casting="unsafe")
+            np.multiply(HT[k], -2.0 * h, out=step)
             step[i] = 0
             G[i] += step
             G[:, i] = G[i]
-            H[i, k] = -h
+            H[i, k] = HT[k, i] = -h
             words[i] ^= 1 << k
-            np.divide(G[i], q, out=R[i])
-            np.subtract(Sv[i], R[i], out=R[i])
+            np.divide(G[i], q, out=row)
+            np.subtract(Sv[i], row, out=R[i])
             R[:, i] = R[i]
             flips += 1
         s_loss = float(np.multiply(R, R, out=loss_buf).sum())  # R is exactly S - G/q
