@@ -30,20 +30,7 @@ from .core import (
 from .evaluation import DEFAULT_PR_GRID, EvalReport, average_precision, evaluate, rank_database
 from .gv import compute_min_distance
 from .losses import LossConfig, central_loss, quantization_loss, total_loss
-from .optimizer import (
-    AlmHyperParams,
-    AlmState,
-    alm_objective,
-    center_gradient,
-    descend,
-    init_centers,
-    optimize,
-    quality_metrics,
-    update_center,
-    update_multipliers,
-    update_proxy,
-    update_slack,
-)
+from .optimizer import descend, init_centers, quality_metrics
 from .similarity import (
     build_similarity,
     class_similarity_rows,
@@ -80,16 +67,7 @@ __all__ = [
     "symmetrize_and_unit_diag",
     "build_similarity",
     "cosine_similarity_matrix",
-    "AlmHyperParams",
-    "AlmState",
     "init_centers",
-    "alm_objective",
-    "update_proxy",
-    "update_slack",
-    "center_gradient",
-    "update_center",
-    "update_multipliers",
-    "optimize",
     "descend",
     "quality_metrics",
     "LossConfig",

@@ -8,24 +8,24 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from shc.cli import main
 from shc.core import BinaryCode, CodeDatabase, SimilarityMatrix, hamming_distance, inner_product
 from shc.evaluation import average_precision, evaluate
 from shc.gv import compute_min_distance
 from shc.losses import central_loss, quantization_loss
-from shc.optimizer import (
+from shc.optimizer import descend, init_centers, quality_metrics, violation_count
+from shc.similarity import write_similarity
+
+from alm_reference import (
     AlmHyperParams,
     alm_objective,
     center_gradient,
     constrained_objective,
-    init_centers,
     optimize,
-    quality_metrics,
     update_proxy,
-    violation_count,
 )
-from shc.similarity import write_similarity
 
 
 def _report(criterion: str, ok: bool, detail: str = ""):
@@ -36,8 +36,23 @@ def _report(criterion: str, ok: bool, detail: str = ""):
     assert ok, line
 
 
+def _alm_reference(S, q, d, seed):
+    """The paper's ALM with its default hyperparameters; returns the centers and its mu."""
+    hp = AlmHyperParams()
+    return optimize(S, q, d, hp, seed=seed)[0], hp.mu
+
+
+def _init_and_descend(S, q, d, seed):
+    """What `shc centers` runs: the greedy init, then `descend`, which minimizes s_loss alone (mu = 0)."""
+    return descend(S, init_centers(q, len(S), d, seed), d)[0], 0.0
+
+
+# Criteria 5, 6 and 10 hold for the paper's ALM (the reference) and for the shipped path.
+generators = pytest.mark.parametrize("generate", [_alm_reference, _init_and_descend], ids=["alm", "descend"])
+
+
 def _random_state_and_sim(rng, q, C):
-    from shc.optimizer import AlmState
+    from alm_reference import AlmState
 
     H = (rng.integers(0, 2, (q, C)) * 2 - 1).astype(np.float64)
     M = H + rng.normal(0, 0.5, (q, C))
@@ -144,17 +159,17 @@ def test_criterion_4_proxy_step_optimality():
     )
 
 
-def test_criterion_5_tiny_instance_oracle():
+@generators
+def test_criterion_5_tiny_instance_oracle(generate):
     q, C = 8, 2
     d = compute_min_distance(q, C)
-    hp = AlmHyperParams()
     rng = np.random.default_rng(55)
     shortfalls = []
     for trial in range(10):
         s = float(rng.uniform(-1, 1))
         S = np.array([[1.0, s], [s, 1.0]])
-        centers, _ = optimize(S, q, d, hp, seed=trial)
-        got = constrained_objective(centers, S, hp.mu)
+        centers, mu = generate(S, q, d, trial)
+        got = constrained_objective(centers, S, mu)
         # exhaustive search over all 2^8 second codewords, first fixed all-ones
         h1 = np.ones(q)
         best = math.inf
@@ -165,7 +180,7 @@ def test_criterion_5_tiny_instance_oracle():
             H = np.column_stack([h1, h2])
             G = H.T @ H
             fit = S - G / q
-            best = min(best, float((fit * fit).sum()) + hp.mu * float(G.sum() - np.trace(G)))
+            best = min(best, float((fit * fit).sum()) + mu * float(G.sum() - np.trace(G)))
         feasible = violation_count(centers, d) == 0
         if not feasible or abs(got - best) > 1e-9:
             shortfalls.append((trial, s, got, best, feasible))
@@ -179,10 +194,10 @@ def test_criterion_5_tiny_instance_oracle():
     )
 
 
-def test_criterion_6_planted_center_recovery():
+@generators
+def test_criterion_6_planted_center_recovery(generate):
     q, C = 32, 16
     d = compute_min_distance(q, C)
-    hp = AlmHyperParams()
     start = time.perf_counter()
     improved = 0
     spaced = 0
@@ -194,7 +209,7 @@ def test_criterion_6_planted_center_recovery():
         np.fill_diagonal(S, 1.0)
         init = init_centers(q, C, d, seed)
         _, s_init = quality_metrics(init, S)
-        centers, _ = optimize(S, q, d, hp, seed=seed)
+        centers, _ = generate(S, q, d, seed)
         d_min, s_final = quality_metrics(centers, S)
         improved += s_final <= s_init + 1e-12
         spaced += d_min >= d
@@ -308,7 +323,8 @@ def test_criterion_9_cli_determinism(tmp_path):
     )
 
 
-def test_criterion_10_synthetic_end_to_end():
+@generators
+def test_criterion_10_synthetic_end_to_end(generate):
     start = time.perf_counter()
     q, C, per_class, flip = 32, 16, 100, 0.05
     d = compute_min_distance(q, C)
@@ -317,7 +333,7 @@ def test_criterion_10_synthetic_end_to_end():
     S = rows @ rows.T / q
     np.clip(S, -1.0, 1.0, out=S)
     np.fill_diagonal(S, 1.0)
-    centers, _ = optimize(S, q, d, AlmHyperParams(), seed=0)
+    centers, _ = generate(S, q, d, 0)
     d_min, _ = quality_metrics(centers, S)
 
     def noisy_codes(count_per_class):

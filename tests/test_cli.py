@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import json
@@ -31,8 +32,10 @@ from shc.similarity import (
     write_similarity,
 )
 from shc.gv import compute_min_distance
-from shc.optimizer import AlmHyperParams, init_centers, optimize, quality_metrics, violation_count
+from shc.optimizer import init_centers, quality_metrics, violation_count
 from shc.core import SimilarityMatrix
+
+from alm_reference import AlmHyperParams, optimize
 
 
 @pytest.fixture
@@ -156,7 +159,7 @@ class TestCenters:
         report = json.loads(report_path.read_text())
         assert report["d"] == 3
         assert report["violations"] == 0
-        # the ALM hyperparameters are library-only (AlmHyperParams); no option takes them
+        # the ALM hyperparameters live only in tests/alm_reference.py (AlmHyperParams); no option takes them
         for flag, value in (("--mu", "0.1"), ("--rho", "0.2"), ("--beta", "1e-6"),
                             ("--eta", "0.5"), ("--cycles", "5"), ("--inner", "3")):
             capsys.readouterr()
@@ -394,6 +397,21 @@ class TestEntryPoint:
             proc = run_python(["-c", code])
             assert proc.stdout.strip() == "0 False", (extra, proc.stderr)
 
+    def test_package_source_imports_no_scipy(self):
+        # numpy is the only runtime dependency: no module of the package imports scipy, even lazily
+        package = Path(shc.__file__).parent
+        found = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] == "scipy"]
+        assert found == []
+
 
 def _u32x2(a, b):
     return struct.pack("<II", a, b)
@@ -493,9 +511,9 @@ GOLDEN_SHA256 = {
 }
 
 # sha256 of the files `shc centers --seed 3 --bits 16` wrote when it ran the
-# paper's ALM (optimize with the default hyperparameters) on the two golden
-# similarity files (recorded with numpy 2.4 on x86-64).  optimize must keep
-# these bytes.
+# paper's ALM (alm_reference.optimize with the default hyperparameters) on the
+# two golden similarity files (recorded with numpy 2.4 on x86-64).  The
+# reference must keep these bytes.
 ALM_REFERENCE_SHA256 = {
     "centers_emb.json": "360e27eca713fa4cd4cea7ea414645a1109e8b00fc476c5b0d1c7209d7f980f9",
     "centers_emb.shc": "4cb7f220f6ca3758ff7e918503dcefddb0f0613e9d63b2435e11a17888260808",

@@ -15,27 +15,30 @@ from shc.core import (
 )
 from shc.gv import compute_min_distance
 from shc.optimizer import (
-    AlmHyperParams,
-    AlmState,
     INIT_GREEDY,
     INIT_HADAMARD,
     _CANDIDATES_PER_SLOT,
     _count_close_pairs,
     _exhaustive_max_min,
     _hadamard_centers,
+    descend,
+    init_centers,
+    quality_metrics,
+    violation_count,
+    _sylvester_hadamard,
+)
+
+from alm_reference import (
+    AlmHyperParams,
+    AlmState,
     alm_objective,
     center_gradient,
     constrained_objective,
-    descend,
-    init_centers,
     optimize,
-    quality_metrics,
     update_center,
     update_multipliers,
     update_proxy,
     update_slack,
-    violation_count,
-    _sylvester_hadamard,
 )
 
 
