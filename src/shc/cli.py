@@ -33,11 +33,10 @@ from .optimizer import (
 from .similarity import (
     MASK_ARGMAX,
     MASK_GROUND_TRUTH,
-    build_similarity,
     cosine_similarity_matrix,
     read_embeddings,
-    read_logits,
     read_similarity,
+    stream_similarity,
     write_similarity,
 )
 
@@ -172,7 +171,7 @@ def _cmd_gvbound(args) -> int:
 
 def _cmd_simmatrix(args) -> int:
     if args.logits is not None:
-        matrix = build_similarity(*read_logits(args.logits), mask=args.mask)
+        matrix = stream_similarity(args.logits, mask=args.mask)
     else:
         matrix = cosine_similarity_matrix(read_embeddings(args.embeddings))
     write_similarity(matrix, args.out)
