@@ -81,7 +81,7 @@ def _pm1_array(values, ndim, what):
     arr = np.asarray(values)
     if arr.ndim != ndim:
         raise ValidationError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
-    if arr.size and not np.isin(arr, (-1, 1)).all():
+    if arr.size and not ((arr == 1) | (arr == -1)).all():
         raise ValidationError(f"{what} entries must be exactly -1 or +1")
     out = arr.astype(np.int8)
     out.flags.writeable = False

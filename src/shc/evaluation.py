@@ -5,6 +5,11 @@ ties broken by ascending record index.  Relevance is exact label equality.
 AP@K divides by the number of relevant items retrieved within the top K,
 with AP = 0 when none are; queries whose label has no relevant records at
 all count with recall 1.
+
+Every hit of a query lies within its window, the records no farther than
+its farthest relevant record, so on long rows (:data:`WINDOW_MIN_RECORDS`
+records or more) a query with a narrow window has only that window ranked,
+one row at a time; every statistic is that of the full ranking.
 """
 
 import logging
@@ -46,12 +51,21 @@ DEFAULT_PR_GRID = tuple(
 # Working-memory budget of one query chunk, and the most a chunk holds per
 # (query x database record) pair, measured with tracemalloc: 25.2 bytes when
 # every record is relevant (three int64/float64 arrays per hit in
-# _hit_stats, the padded float64 AP sums, the bool relevance), 9-11 bytes
-# when 1% are (uint64 XOR words, uint8/uint16 distances, int64 sort order,
-# bool relevance).  Eval memory is bounded by the budget times the worker
-# count, not by queries x records.
+# _hit_stats, the padded float64 AP sums, the bool relevance), 9.0 bytes
+# when 1% are and the chunk is ranked whole (uint64 XOR words, then the
+# int64 sort order, the uint8/uint16 distances, the bool relevance), and
+# 1.6 bytes when its windows are ranked one row at a time (the bool
+# relevance plus O(N) row buffers).  Eval memory is bounded by the budget
+# times the worker count, not by queries x records.
 EVAL_CHUNK_BYTES = 64 << 20
 EVAL_BYTES_PER_PAIR = 26
+
+# Rows shorter than this are ranked whole: below it, per-row call overhead
+# and, with several workers, the interpreter lock cost more than ranking
+# only each query's window saves.  Each query's window is first estimated
+# on about this many records.
+WINDOW_MIN_RECORDS = 32768
+WINDOW_SAMPLE = 512
 
 
 @dataclass(frozen=True)
@@ -134,14 +148,62 @@ def _hit_stats(rel, cutoffs):
     return hits, ap
 
 
-def _chunk_stats(q_words, q_labels, db_words, db_labels, q, cutoffs):
-    """Per-query relevant-counts and AP at each cutoff, for a chunk of packed queries."""
-    order = np.argsort(_hamming(q_words, db_words, q), axis=1, kind="stable")
-    rel = np.empty(order.shape, dtype=bool)
-    for i, label in enumerate(q_labels):  # a row at a time: faster than one fancy-indexed gather
-        np.take(db_labels == label, order[i], out=rel[i])
+def _chunk_stats(q_words, q_labels, db_words, db_labels, by_label, q, cutoffs):
+    """Relevant-counts and AP at each cutoff, and the pairs ranked, for a chunk of packed queries.
+
+    A query's hits all lie within its window, the records no farther than
+    its farthest relevant record, and in the (distance, index) order the
+    window fills exactly the first ranks: ranking the window alone gives the
+    relevance row, and every statistic, of the full ranking.  A query whose
+    window looks narrow on a sample of the records is ranked alone, one row
+    at a time in reused N-sized buffers (whole if its window turns out to
+    hold more than a third of the records); a query whose label has no
+    records is not ranked.  The other queries, and all of them when N is
+    under :data:`WINDOW_MIN_RECORDS`, are ranked whole, as one sort.
+    ``by_label`` is the stable argsort of ``db_labels``.
+    """
+    rows, N = len(q_labels), len(db_labels)
+    whole = np.ones(rows, dtype=bool)
+    if N >= WINDOW_MIN_RECORDS:
+        step = max(1, N // WINDOW_SAMPLE)
+        sample = _hamming(q_words, db_words[::step], q)
+        far = (sample * (db_labels[::step] == q_labels[:, None])).max(axis=1, keepdims=True)
+        whole = 3 * np.count_nonzero(sample <= far, axis=1) > sample.shape[1]
+        del sample
+    at = np.flatnonzero(whole)
+    order = np.argsort(_hamming(q_words[at], db_words, q), axis=1, kind="stable")
+    rel = np.empty((rows, N), dtype=bool)  # allocated after the sort, so never beside the XOR words
+    for j, i in enumerate(at):  # a row at a time: faster than one fancy-indexed gather
+        np.take(db_labels == q_labels[i], order[j], out=rel[i])
     del order
-    return _hit_stats(rel, cutoffs)
+    narrow = np.flatnonzero(~whole)
+    rel[narrow] = False  # a window fills only the first ranks of its row
+    ranked = at.size * N
+    if narrow.size:  # only then: idle buffers here left the _hit_stats below about 3% slower
+        xor = np.empty(N, dtype=np.uint64)
+        pop = np.empty(N, dtype=np.uint8)
+        dist = np.empty(N, dtype=np.min_scalar_type(q))
+        window = np.empty(N, dtype=bool)
+        grouped = db_labels[by_label]
+    for i in narrow:
+        label = int(q_labels[i])
+        relevant = by_label[np.searchsorted(grouped, label):np.searchsorted(grouped, label, "right")]
+        if not relevant.size:
+            continue  # no hits: the row stays all False
+        words = q_words[i]
+        np.bitwise_count(np.bitwise_xor(db_words[:, 0], words[0], out=xor), out=dist)
+        for w in range(1, len(words)):
+            dist += np.bitwise_count(np.bitwise_xor(db_words[:, w], words[w], out=xor), out=pop)
+        n = np.count_nonzero(np.less_equal(dist, dist[relevant].max(), out=window))
+        if 3 * n > N:
+            order = np.argsort(dist, kind="stable")[:n]
+            ranked += N
+        else:
+            near = np.flatnonzero(window)
+            order = near[np.argsort(dist[near], kind="stable")]
+            ranked += n
+        np.equal(db_labels[order], label, out=rel[i, :n])
+    return (*_hit_stats(rel, cutoffs), ranked)
 
 
 def evaluate(
@@ -188,17 +250,20 @@ def evaluate(
         "%d B per chunk, %d records), %d workers",
         n_q, len(chunks), min(rows, n_q), EVAL_BYTES_PER_PAIR, EVAL_CHUNK_BYTES, len(db), workers,
     )
-    db_words = _pack_words(db.codes)  # packed once, not once per chunk
+    db_words = np.asfortranarray(_pack_words(db.codes))  # packed once, each word contiguous
+    by_label = np.argsort(db.labels, kind="stable")  # each label's records, found by bisection
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(
             lambda s: _chunk_stats(
-                _pack_words(queries.codes[s]), queries.labels[s], db_words, db.labels, db.q, cut_arr
+                _pack_words(queries.codes[s]), queries.labels[s], db_words, db.labels, by_label, db.q, cut_arr
             ),
             chunks,
         ))
+    hits, ap, ranked = zip(*parts)
+    log.info("evaluate: ranked %d of %d query x record pairs", sum(ranked), n_q * len(db))
     # Column-major like the stats of any multi-row chunk, so the means below
     # sum each column in the same order however the queries were chunked.
-    hits, ap = (np.asfortranarray(np.vstack(stats)) for stats in zip(*parts))
+    hits, ap = (np.asfortranarray(np.vstack(stats)) for stats in (hits, ap))
 
     totals = hits[:, col[len(db)]]
 

@@ -178,7 +178,18 @@ def symmetrize_and_unit_diag(rows) -> SimilarityMatrix:
 
 
 def _similarity_of_rows(rows) -> SimilarityMatrix:
-    return symmetrize_and_unit_diag(np.stack([normalize_row(r) for r in rows]))
+    """S from the class-mean rows: each row normalized as by ``normalize_row``, then symmetrized.
+
+    The rows are normalized in place, in one pass.  They are finite class
+    means, so each normalized row lies in [-1, 1] and needs none of the
+    checks of ``symmetrize_and_unit_diag``.
+    """
+    rows -= rows.mean(axis=1, keepdims=True)
+    scale = np.maximum(rows.max(axis=1), -rows.min(axis=1))  # max |row| with no abs temporary
+    if (scale == 0.0).any():
+        raise DegenerateInputError("cannot normalize a constant row")
+    rows /= scale[:, None]
+    return SimilarityMatrix._symmetrized(rows)
 
 
 def build_similarity(labels, logits, mask: str = MASK_GROUND_TRUTH) -> SimilarityMatrix:

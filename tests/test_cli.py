@@ -311,7 +311,8 @@ class TestEval:
             assert main(["-v"] + args + ["--out", str(tmp_path / "verbose.json")]) == 0
         assert (tmp_path / "verbose.json").read_bytes() == (tmp_path / "quiet.json").read_bytes()
         lines = [r.getMessage() for r in caplog.records if r.name == "shc.evaluation"]
-        assert len(lines) == 1 and lines[0].startswith("evaluate: 6 queries in 1 chunks of up to 6 rows")
+        assert len(lines) == 2 and lines[0].startswith("evaluate: 6 queries in 1 chunks of up to 6 rows")
+        assert lines[1] == "evaluate: ranked 240 of 240 query x record pairs"  # 40 records: ranked whole
 
     def test_bad_topk_exits_1(self, tmp_path, code_files, capsys):
         db_path, q_path = code_files

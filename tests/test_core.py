@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -313,6 +314,33 @@ class TestCenterSetAndDatabase:
     def test_from_codes_length_check(self):
         with pytest.raises(DimensionMismatchError):
             CenterSet.from_codes([code(1, 1), code(1, 1, 1)])
+
+    def test_code_check_holds_two_bool_masks_at_most(self):
+        # np.isin held about 12 bytes per entry here; the check needs two bool masks
+        codes = (np.random.default_rng(3).integers(0, 2, (20000, 64)) * 2 - 1).astype(np.int8)
+        labels = np.zeros(20000, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            CodeDatabase(labels, codes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * codes.size
+
+    @pytest.mark.parametrize("values, ok", [
+        (np.array([1, -1], dtype=np.int8), True), (np.array([1.0, -1.0]), True),
+        (np.array([True, True]), True), (np.array([True, False]), False),
+        (np.array([1, -1], dtype=object), True), (np.array([1, "a"], dtype=object), False),
+        (np.array([1 + 1j, -1]), False),
+        (np.array([1, 1], dtype=np.uint8), True), (np.array([1, 255], dtype=np.uint8), False),
+        (np.array(["1", "-1"]), False), (np.array([np.nan, 1.0]), False), (np.array([1.0, 0.5]), False),
+    ])
+    def test_code_entries_must_equal_plus_or_minus_one(self, values, ok):
+        if ok:
+            assert BinaryCode(values).bits.tolist() == [1 if v == 1 else -1 for v in values.tolist()]
+        else:
+            with pytest.raises(ValidationError, match="exactly -1 or \\+1"):
+                BinaryCode(values)
 
     def test_database_validation(self):
         with pytest.raises(DimensionMismatchError):

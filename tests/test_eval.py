@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from shc import evaluation
@@ -137,8 +139,9 @@ class TestChunkStats:
         queries = random_db(rng, n_q, q, classes)
         q_labels = np.r_[classes, queries.labels[1:]]  # query 0's label is absent from the database
         cut = np.asarray(cutoffs)
-        hits, ap = evaluation._chunk_stats(
-            _pack_words(queries.codes), q_labels, _pack_words(db.codes), db.labels, q, cut
+        hits, ap, _ = evaluation._chunk_stats(
+            _pack_words(queries.codes), q_labels, _pack_words(db.codes), db.labels,
+            np.argsort(db.labels, kind="stable"), q, cut,
         )
         want_hits, want_ap = dense_chunk_stats(queries.codes, q_labels, db.codes, db.labels, cut)
         assert hits.tolist() == want_hits.tolist()
@@ -151,6 +154,109 @@ class TestChunkStats:
             for k in (1, 10, 37, 400, 1000):
                 want = dense_ap((labels == 1)[None, :], np.array([k]))[1][0, 0]
                 assert average_precision(1, labels, k) == want
+
+
+def clustered_dbs(rng, sizes, q, classes, flip):
+    """Databases of codes around one shared random center per class, each bit flipped with probability flip."""
+    centers = rng.integers(0, 2, (classes, q))
+    out = []
+    for n in sizes:
+        labels = rng.integers(0, classes, n)
+        bits = centers[labels] ^ (rng.random((n, q)) < flip)
+        out.append(CodeDatabase(labels, (bits * 2 - 1).astype(np.int8)))
+    return out
+
+
+def windowed_chunk_stats(queries, db, cutoffs, window_min=0, sample=evaluation.WINDOW_SAMPLE):
+    """_chunk_stats on one chunk, its windows ranked from window_min records on."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "WINDOW_MIN_RECORDS", window_min)
+        mp.setattr(evaluation, "WINDOW_SAMPLE", sample)
+        return evaluation._chunk_stats(
+            _pack_words(queries.codes), queries.labels, np.asfortranarray(_pack_words(db.codes)),
+            db.labels, np.argsort(db.labels, kind="stable"), db.q, np.asarray(cutoffs),
+        )
+
+
+class TestWindowedRanking:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        q=st.sampled_from([1, 16, 64, 65, 128]),
+        N=st.sampled_from([1, 2, 7, 60, 300]),
+        n_q=st.integers(1, 12),
+        classes=st.sampled_from([1, 3, 40]),
+        flip=st.sampled_from([0.0, 0.05, 0.2, 0.5]),  # 0: exact duplicates, 0.5: no structure
+        sample=st.sampled_from([1, 4, 512]),  # a sample this small often misjudges a window
+        window_min=st.sampled_from([0, 1 << 40]),
+    )
+    def test_bit_identical_to_full_ranking(self, seed, q, N, n_q, classes, flip, sample, window_min):
+        rng = np.random.default_rng(seed)
+        db, queries = clustered_dbs(rng, (N, n_q), q, classes, flip)
+        # one more label among the queries, with no records in the database
+        queries = CodeDatabase(np.where(rng.random(n_q) < 0.2, classes, queries.labels), queries.codes)
+        cutoffs = np.array(sorted({1, 5, 100, N}))
+        hits, ap, ranked = windowed_chunk_stats(queries, db, cutoffs, window_min, sample)
+        want_hits, want_ap = dense_chunk_stats(queries.codes, queries.labels, db.codes, db.labels, cutoffs)
+        assert hits.tolist() == want_hits.tolist()
+        assert ap.dtype == want_ap.dtype and ap.tobytes() == want_ap.tobytes()
+        assert 0 <= ranked <= n_q * N
+        if window_min:
+            assert ranked == n_q * N
+
+    def test_ties_at_the_farthest_hit_keep_index_order(self):
+        # query 0...0 against 16 records; the hits of label 1 are records 3 (distance 0), 2 and 4
+        # (distance 1), so its window is records 1, 2, 3, 4, 7, and its last hit, record 4, lies
+        # between the non-hits 1 and 7 at the same distance
+        d = [3, 1, 1, 0, 1, 4, 3, 1, 4, 4, 3, 4, 2, 2, 3, 4]
+        codes = np.ones((16, 4), dtype=np.int8)
+        for i, k in enumerate(d):
+            codes[i, :k] = -1
+        labels = np.zeros(16, dtype=np.int64)
+        labels[[2, 3, 4]] = 1
+        db = CodeDatabase(labels, codes)
+        queries = CodeDatabase([1, 0, 2], np.ones((3, 4), dtype=np.int8))  # label 2 has no records
+        cutoffs = np.array([1, 2, 3, 4, 5, 6, 16])
+        hits, ap, ranked = windowed_chunk_stats(queries, db, cutoffs)
+        want_hits, want_ap = dense_chunk_stats(queries.codes, queries.labels, db.codes, db.labels, cutoffs)
+        assert hits.tolist() == want_hits.tolist()
+        assert ap.tobytes() == want_ap.tobytes()
+        assert hits[0].tolist() == [1, 1, 2, 3, 3, 3, 3]  # ranked 3, 1, 2, 4, 7, then farther
+        # label 1: its 5-record window; label 0 (13 relevant): whole; label 2: not ranked
+        assert ranked == 5 + 16 + 0
+
+    def test_narrow_windows_hold_no_int64_order_of_a_row(self):
+        rng = np.random.default_rng(21)
+        db, queries = clustered_dbs(rng, (8000, 200), 64, 100, 0.15)
+        pairs = len(queries) * len(db)
+        peaks = {}
+        for window_min in (0, 1 << 40):
+            tracemalloc.start()
+            try:
+                ranked = windowed_chunk_stats(queries, db, [10, 8000], window_min)[2]
+                peaks[window_min] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert ranked < pairs / 4 if window_min == 0 else ranked == pairs
+        # windows: 1 byte of relevance per pair plus O(N) row buffers (1.4 B per pair here);
+        # ranked whole: uint64 XOR words, then an int64 sort order per pair (9.0 B per pair)
+        assert peaks[0] < 2.5 * pairs
+        assert peaks[1 << 40] > 8 * pairs
+
+    def test_default_ranks_long_rows_by_window(self, caplog, monkeypatch):
+        rng = np.random.default_rng(22)
+        N = evaluation.WINDOW_MIN_RECORDS
+        db, queries = clustered_dbs(rng, (N, 3), 32, 50, 0.1)
+        with caplog.at_level(logging.INFO, logger="shc.evaluation"):
+            report = evaluate(queries, db, [10, N], pr_grid=[10], workers=1)
+        ranked = int(caplog.records[-1].getMessage().split()[2])
+        assert 0 < ranked < 3 * N / 4
+        monkeypatch.setattr(evaluation, "EVAL_CHUNK_BYTES", 1)  # one query row per chunk
+        assert evaluate(queries, db, [10, N], pr_grid=[10], workers=3) == report
+        whole = windowed_chunk_stats(queries, db, [10, N], 1 << 40)
+        hits, ap, _ = windowed_chunk_stats(queries, db, [10, N], N)
+        assert hits.tolist() == whole[0].tolist() and ap.tobytes() == whole[1].tobytes()
+        assert report.map_at[10] == float(ap[:, 0].mean())
 
 
 class TestEvaluate:
@@ -259,9 +365,10 @@ class TestEvaluate:
             tracemalloc.stop()
         assert rows == whole
         assert evaluate(queries, db, [10, 5000], workers=3) == whole
-        # ranking all queries at once needs about 33 bytes per query x record pair
-        assert peak < len(queries) * len(db) * 33 / 10
-        assert peak > len(db) * 8  # it did see one query's int64 sort order
+        # ranking all queries at once needs about 33 bytes per query x record pair;
+        # one row at a time holds O(N), about 101 bytes per record here
+        assert peak < len(queries) * len(db) * 33 / 40
+        assert peak > len(db) * 8  # it did hold one row's uint64 XOR words
 
     @pytest.mark.parametrize("n_q, chunks, rows", [(2, 1, 2), (2581, 1, 2581), (2582, 2, 2581)])
     def test_logs_its_chunking(self, n_q, chunks, rows, caplog):
@@ -275,7 +382,8 @@ class TestEvaluate:
         assert [r.getMessage() for r in caplog.records] == [
             f"evaluate: {n_q} queries in {chunks} chunks of up to {rows} rows "
             f"({evaluation.EVAL_BYTES_PER_PAIR} B per query x record pair, "
-            f"{evaluation.EVAL_CHUNK_BYTES} B per chunk, 1000 records), 3 workers"
+            f"{evaluation.EVAL_CHUNK_BYTES} B per chunk, 1000 records), 3 workers",
+            f"evaluate: ranked {n_q * 1000} of {n_q * 1000} query x record pairs",  # short rows: ranked whole
         ]
 
     def test_large_label_values_allocate_nothing_of_their_size(self):

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from shc.core import (
     MissingClassError,
     ValidationError,
 )
+from shc import similarity
 from shc.similarity import (
     MASK_ARGMAX,
     build_similarity,
@@ -216,6 +218,38 @@ class TestSymmetrize:
 
 
 class TestBuildSimilarity:
+    @pytest.mark.parametrize("C", [2, 3, 17, 100])
+    def test_rows_normalized_at_once_match_row_by_row(self, C):
+        rng = np.random.default_rng(C)
+        rows = rng.normal(rng.normal(0, 5), rng.uniform(0.01, 3), (C, C))
+        rows[0] = rows[0].round(1)  # ties for the row max / min
+        want = symmetrize_and_unit_diag(np.stack([normalize_row(r) for r in rows]))
+        got = similarity._similarity_of_rows(rows.copy())
+        assert got.values.tobytes() == want.values.tobytes()
+
+    def test_constant_class_mean_row_is_degenerate(self):
+        # under the argmax mask, class 0's three records average to (1/3, 1/3, 1/3)
+        logits = np.array([[5.0, 0.0, 0.0], [0.0, 5.0, 0.0], [0.0, 0.0, 5.0],
+                           [0.0, 5.0, 1.0], [1.0, 0.0, 5.0]])
+        labels = np.array([0, 0, 0, 1, 2])
+        assert np.allclose(class_similarity_rows(labels, logits, mask=MASK_ARGMAX)[0], 1 / 3)
+        with pytest.raises(DegenerateInputError, match="cannot normalize a constant row"):
+            build_similarity(labels, logits, mask=MASK_ARGMAX)
+        with pytest.raises(DegenerateInputError, match="cannot normalize a constant row"):
+            similarity._similarity_of_rows(np.array([[0.2, 0.8], [0.5, 0.5]]))
+
+    def test_class_means_are_normalized_in_place(self):
+        # S and its constructor's copy: two C x C arrays beside the means, not a row list and its stack too
+        C = 400
+        rows = np.random.default_rng(5).random((C, C))
+        tracemalloc.start()
+        try:
+            similarity._similarity_of_rows(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * rows.nbytes
+
     def test_two_class_shape(self):
         rng = np.random.default_rng(0)
         S = build_similarity(*synthetic_logits(rng, 2, 10))
