@@ -52,11 +52,12 @@ DEFAULT_PR_GRID = tuple(
 # (query x database record) pair, measured with tracemalloc: 25.2 bytes when
 # every record is relevant (three int64/float64 arrays per hit in
 # _hit_stats, the padded float64 AP sums, the bool relevance), 9.0 bytes
-# when 1% are and the chunk is ranked whole (uint64 XOR words, then the
-# int64 sort order, the uint8/uint16 distances, the bool relevance), and
-# 1.6 bytes when its windows are ranked one row at a time (the bool
-# relevance plus O(N) row buffers).  Eval memory is bounded by the budget
-# times the worker count, not by queries x records.
+# when 1% are and the chunk is ranked whole (uint64 XOR words beside the
+# uint8/uint16 distances; the uint32/uint64 sort keys and the bool
+# relevance come after them), and 1.6 bytes when its windows are ranked
+# one row at a time (the bool relevance plus O(N) row buffers).  Eval
+# memory is bounded by the budget times the worker count, not by queries x
+# records.
 EVAL_CHUNK_BYTES = 64 << 20
 EVAL_BYTES_PER_PAIR = 26
 
@@ -148,6 +149,24 @@ def _hit_stats(rel, cutoffs):
     return hits, ap
 
 
+def _ranked_relevance(dist, relevant, q):
+    """Each row's relevance in its (distance, index) ranking, as the 0/1 sort keys of its records.
+
+    A record's key packs its distance, its index and its relevance bit, high
+    to low.  A row's keys are distinct, so any sort puts them in the order of
+    a stable argsort of the distances, and each sorted key keeps its
+    record's relevance in its low bit: no int64 order, no gather.
+    """
+    N = dist.shape[-1]
+    shift = N.bit_length() + 1  # index << 1 stays below 2**shift
+    key = np.left_shift(dist, shift, dtype=np.uint32 if int(q).bit_length() + shift <= 32 else np.uint64)
+    key |= np.arange(0, 2 * N, 2, dtype=key.dtype)
+    key |= relevant
+    key.sort(axis=-1)
+    key &= 1
+    return key
+
+
 def _chunk_stats(q_words, q_labels, db_words, db_labels, by_label, q, cutoffs):
     """Relevant-counts and AP at each cutoff, and the pairs ranked, for a chunk of packed queries.
 
@@ -171,11 +190,10 @@ def _chunk_stats(q_words, q_labels, db_words, db_labels, by_label, q, cutoffs):
         whole = 3 * np.count_nonzero(sample <= far, axis=1) > sample.shape[1]
         del sample
     at = np.flatnonzero(whole)
-    order = np.argsort(_hamming(q_words[at], db_words, q), axis=1, kind="stable")
+    keys = _ranked_relevance(_hamming(q_words[at], db_words, q), db_labels == q_labels[at, None], q)
     rel = np.empty((rows, N), dtype=bool)  # allocated after the sort, so never beside the XOR words
-    for j, i in enumerate(at):  # a row at a time: faster than one fancy-indexed gather
-        np.take(db_labels == q_labels[i], order[j], out=rel[i])
-    del order
+    rel[at] = keys
+    del keys
     narrow = np.flatnonzero(~whole)
     rel[narrow] = False  # a window fills only the first ranks of its row
     ranked = at.size * N

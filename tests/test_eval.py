@@ -148,6 +148,16 @@ class TestChunkStats:
         assert ap.dtype == want_ap.dtype and ap.tobytes() == want_ap.tobytes()
         assert not hits[0].any()
 
+    @pytest.mark.parametrize("q, N, key_type", [(32, 5000, np.uint32), (65535, 40000, np.uint64)])
+    def test_sort_keys_give_the_stable_argsort_relevance(self, q, N, key_type):
+        rng = np.random.default_rng(q)
+        dist = rng.choice(np.array([0, 1, q // 2, q], dtype=np.min_scalar_type(q)), (3, N))  # ties everywhere
+        relevant = rng.random((3, N)) < 0.1
+        keys = evaluation._ranked_relevance(dist, relevant, q)
+        order = np.argsort(dist, axis=1, kind="stable")
+        assert keys.dtype == key_type
+        assert keys.tolist() == np.take_along_axis(relevant, order, axis=1).tolist()
+
     def test_average_precision_is_the_same_formula(self):
         rng = np.random.default_rng(13)
         for labels in rng.integers(0, 3, (20, 400)):
@@ -239,7 +249,7 @@ class TestWindowedRanking:
                 tracemalloc.stop()
             assert ranked < pairs / 4 if window_min == 0 else ranked == pairs
         # windows: 1 byte of relevance per pair plus O(N) row buffers (1.4 B per pair here);
-        # ranked whole: uint64 XOR words, then an int64 sort order per pair (9.0 B per pair)
+        # ranked whole: uint64 XOR words beside the distances, then the sort keys (9.0 B per pair)
         assert peaks[0] < 2.5 * pairs
         assert peaks[1 << 40] > 8 * pairs
 
