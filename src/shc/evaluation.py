@@ -8,8 +8,8 @@ all count with recall 1.
 
 Every hit of a query lies within its window, the records no farther than
 its farthest relevant record, so on long rows (:data:`WINDOW_MIN_RECORDS`
-records or more) a query with a narrow window has only that window ranked,
-one row at a time; every statistic is that of the full ranking.
+records or more) each query has only its window ranked, one row at a time;
+every statistic is that of the full ranking.
 """
 
 import logging
@@ -49,24 +49,21 @@ DEFAULT_PR_GRID = tuple(
 )
 
 # Working-memory budget of one query chunk, and the most a chunk holds per
-# (query x database record) pair, measured with tracemalloc: 25.2 bytes when
-# every record is relevant (three int64/float64 arrays per hit in
-# _hit_stats, the padded float64 AP sums, the bool relevance), 9.0 bytes
-# when 1% are and the chunk is ranked whole (uint64 XOR words beside the
-# uint8/uint16 distances; the uint32/uint64 sort keys and the bool
-# relevance come after them), and 1.6 bytes when its windows are ranked
-# one row at a time (the bool relevance plus O(N) row buffers).  Eval
-# memory is bounded by the budget times the worker count, not by queries x
-# records.
+# (query x database record) pair.  Measured with tracemalloc: 18.2 bytes
+# when every record is relevant (the int64 hit positions, the padded
+# float64 AP sums and their bool fill mask beside the bool relevance), 9.0
+# bytes when 1% are and the chunk is ranked whole (uint64 XOR words beside
+# the uint8/uint16 distances; the uint32/uint64 sort keys come after them),
+# and 0.4-0.6 bytes when its windows are ranked one row at a time (the hit
+# positions plus O(N) row buffers).  Eval memory is bounded by the budget
+# times the worker count, not by queries x records.
 EVAL_CHUNK_BYTES = 64 << 20
 EVAL_BYTES_PER_PAIR = 26
 
 # Rows shorter than this are ranked whole: below it, per-row call overhead
 # and, with several workers, the interpreter lock cost more than ranking
-# only each query's window saves.  Each query's window is first estimated
-# on about this many records.
+# only each query's window saves.
 WINDOW_MIN_RECORDS = 32768
-WINDOW_SAMPLE = 512
 
 
 @dataclass(frozen=True)
@@ -114,36 +111,31 @@ def average_precision(query_label: int, ranked_labels, k: int) -> float:
     """
     if k < 1:
         raise ValidationError(f"K must be >= 1, got {k}")
-    rel = np.asarray(ranked_labels)[None, :k] == query_label
-    return float(_hit_stats(rel, np.array([k]))[1][0, 0])
+    rel = np.asarray(ranked_labels)[:k] == query_label
+    return float(_hit_stats(np.flatnonzero(rel), 1, rel.size, np.array([k]))[1][0, 0])
 
 
-def _hit_stats(rel, cutoffs):
-    """Relevant-counts and AP at each cutoff of ranked (rows, N) relevance.
+def _hit_stats(flat, rows, N, cutoffs):
+    """Relevant-counts and AP at each cutoff of ``rows`` ranked rows of N records.
 
-    Works on the positions of the hits alone.  The r-th hit of a row, at
-    0-based rank p, adds r/(p+1) to its row's AP numerator; the terms are
-    summed in rank order by a cumsum that restarts at each row, so every
-    value equals the dense ``cumsum(rel * cumsum(rel) / arange(1, N+1))``
-    bit for bit (a non-hit adds +0.0, which changes nothing).
+    ``flat`` holds the position ``row * N + rank`` of every hit, in
+    row-major order.  The r-th hit of a row, at 0-based rank p, adds
+    r/(p+1) to its row's AP numerator; the terms are summed in rank order by
+    a cumsum along the row, so every value equals the dense
+    ``cumsum(rel * cumsum(rel) / arange(1, N+1))`` bit for bit (a non-hit
+    adds +0.0, which changes nothing).
     """
-    rows, N = rel.shape
     at = np.minimum(cutoffs, N) - 1
-    flat = np.flatnonzero(rel)  # row * N + rank of every hit, in row-major order
     base = np.arange(rows) * N
     first = np.searchsorted(flat, base)  # index in flat of each row's first hit
     hits = np.searchsorted(flat, base[:, None] + at, side="right") - first[:, None]
     count = np.diff(first, append=flat.size)
-    width = 1 + int(count.max())  # column 0 of num holds the empty sum
-    # In-place steps keep at most three hit-sized int64/float64 arrays alive.
-    flat -= np.repeat(base - 1, count)  # p + 1
-    nth = np.arange(1, flat.size + 1)
-    nth -= np.repeat(first, count)  # r
-    terms = nth / flat
-    del flat
-    nth += np.repeat(np.arange(rows) * width, count)  # flat index of (row, r) in num
-    num = np.zeros((rows, width))
-    num.reshape(-1)[nth] = terms
+    num = np.zeros((rows, 1 + int(count.max())))  # column 0 holds the empty sum
+    terms = num[:, 1:]  # column r - 1: the r-th hit of the row
+    filled = np.arange(1, num.shape[1]) <= count[:, None]
+    terms[filled] = flat  # row-major, as flat
+    np.subtract(terms, (base - 1)[:, None], out=terms, where=filled)  # p + 1
+    np.divide(np.arange(1, num.shape[1]), terms, out=terms, where=filled)  # r / (p + 1)
     np.cumsum(num, axis=1, out=num)
     ap = np.divide(num[np.arange(rows)[:, None], hits], hits, out=np.zeros(hits.shape), where=hits > 0)
     return hits, ap
@@ -170,58 +162,39 @@ def _ranked_relevance(dist, relevant, q):
 def _chunk_stats(q_words, q_labels, db_words, db_labels, by_label, q, cutoffs):
     """Relevant-counts and AP at each cutoff, and the pairs ranked, for a chunk of packed queries.
 
-    A query's hits all lie within its window, the records no farther than
-    its farthest relevant record, and in the (distance, index) order the
-    window fills exactly the first ranks: ranking the window alone gives the
-    relevance row, and every statistic, of the full ranking.  A query whose
-    window looks narrow on a sample of the records is ranked alone, one row
-    at a time in reused N-sized buffers (whole if its window turns out to
-    hold more than a third of the records); a query whose label has no
-    records is not ranked.  The other queries, and all of them when N is
-    under :data:`WINDOW_MIN_RECORDS`, are ranked whole, as one sort.
-    ``by_label`` is the stable argsort of ``db_labels``.
+    Rows under :data:`WINDOW_MIN_RECORDS` records are ranked whole, as one
+    sort.  Longer rows are ranked one query at a time, and only over its
+    window, the records no farther than its farthest relevant record: every
+    hit lies within it, and in the (distance, index) order the window fills
+    exactly the first ranks, so ranking it alone gives every hit's rank in
+    the full ranking.  A window of more than a third of the records is
+    ranked by one full sort of its row; a query whose label has no records
+    is not ranked.  ``by_label`` is the stable argsort of ``db_labels``.
     """
     rows, N = len(q_labels), len(db_labels)
-    whole = np.ones(rows, dtype=bool)
-    if N >= WINDOW_MIN_RECORDS:
-        step = max(1, N // WINDOW_SAMPLE)
-        sample = _hamming(q_words, db_words[::step], q)
-        far = (sample * (db_labels[::step] == q_labels[:, None])).max(axis=1, keepdims=True)
-        whole = 3 * np.count_nonzero(sample <= far, axis=1) > sample.shape[1]
-        del sample
-    at = np.flatnonzero(whole)
-    keys = _ranked_relevance(_hamming(q_words[at], db_words, q), db_labels == q_labels[at, None], q)
-    rel = np.empty((rows, N), dtype=bool)  # allocated after the sort, so never beside the XOR words
-    rel[at] = keys
-    del keys
-    narrow = np.flatnonzero(~whole)
-    rel[narrow] = False  # a window fills only the first ranks of its row
-    ranked = at.size * N
-    if narrow.size:  # only then: idle buffers here left the _hit_stats below about 3% slower
-        xor = np.empty(N, dtype=np.uint64)
-        pop = np.empty(N, dtype=np.uint8)
-        dist = np.empty(N, dtype=np.min_scalar_type(q))
-        window = np.empty(N, dtype=bool)
-        grouped = db_labels[by_label]
-    for i in narrow:
+    if N < WINDOW_MIN_RECORDS:
+        rel = _ranked_relevance(_hamming(q_words, db_words, q), db_labels == q_labels[:, None], q).astype(bool)
+        return (*_hit_stats(np.flatnonzero(rel), rows, N, cutoffs), rows * N)
+    grouped = db_labels[by_label]
+    parts = [np.empty(0, dtype=np.intp)]
+    ranked = 0
+    for i in range(rows):
         label = int(q_labels[i])
         relevant = by_label[np.searchsorted(grouped, label):np.searchsorted(grouped, label, "right")]
         if not relevant.size:
-            continue  # no hits: the row stays all False
-        words = q_words[i]
-        np.bitwise_count(np.bitwise_xor(db_words[:, 0], words[0], out=xor), out=dist)
-        for w in range(1, len(words)):
-            dist += np.bitwise_count(np.bitwise_xor(db_words[:, w], words[w], out=xor), out=pop)
-        n = np.count_nonzero(np.less_equal(dist, dist[relevant].max(), out=window))
-        if 3 * n > N:
-            order = np.argsort(dist, kind="stable")[:n]
+            continue  # no hits
+        dist = _hamming(q_words[i], db_words, q)
+        near = np.flatnonzero(dist <= dist[relevant].max())
+        if 3 * near.size > N:
+            order = np.argsort(dist, kind="stable")[:near.size]
             ranked += N
         else:
-            near = np.flatnonzero(window)
             order = near[np.argsort(dist[near], kind="stable")]
-            ranked += n
-        np.equal(db_labels[order], label, out=rel[i, :n])
-    return (*_hit_stats(rel, cutoffs), ranked)
+            ranked += near.size
+        parts.append(np.flatnonzero(db_labels[order] == label) + i * N)
+    flat = np.concatenate(parts)
+    del parts  # so no second copy of the hit positions lies beside the AP sums
+    return (*_hit_stats(flat, rows, N, cutoffs), ranked)
 
 
 def evaluate(

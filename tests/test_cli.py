@@ -413,6 +413,26 @@ class TestEntryPoint:
                 found += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] == "scipy"]
         assert found == []
 
+    def test_only_the_hamming_kernel_counts_bits(self):
+        # one Hamming kernel: np.bitwise_count is named in core._hamming and nowhere else in the package
+        package = Path(shc.__file__).parent
+        found, in_kernel = [], 0
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            kernel = set()
+            if path.name == "core.py":
+                func = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_hamming")
+                kernel = {id(n) for n in ast.walk(func)}
+            for node in ast.walk(tree):
+                name = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
+                if name != "bitwise_count":
+                    continue
+                if id(node) in kernel:
+                    in_kernel += 1
+                else:
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == [] and in_kernel > 0
+
 
 def _u32x2(a, b):
     return struct.pack("<II", a, b)

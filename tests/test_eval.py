@@ -158,6 +158,27 @@ class TestChunkStats:
         assert keys.dtype == key_type
         assert keys.tolist() == np.take_along_axis(relevant, order, axis=1).tolist()
 
+    @pytest.mark.parametrize(
+        "rel",
+        [
+            [[0, 0, 0, 0, 0], [1, 0, 1, 1, 0], [0, 1, 0, 0, 1]],  # a row with no hits first
+            [[1, 1, 0, 0, 1], [0, 0, 0, 1, 0], [0, 0, 0, 0, 0]],  # ... last
+            [[0, 0, 0, 0, 0]],  # ... alone
+            [[1, 0, 0], [0, 0, 0], [1, 1, 1]],  # ... between, and a row of hits only
+            [[1], [0], [1]],  # N = 1
+            [[0]],
+            np.random.default_rng(14).random((40, 300)) < np.array([0.0, 0.01, 0.3, 1.0]).repeat(10)[:, None],
+        ],
+    )
+    def test_hit_stats_of_positions_match_dense_ap(self, rel):
+        rel = np.array(rel, dtype=bool)
+        rows, N = rel.shape
+        cutoffs = np.array([1, 2, 3, N, N + 1, 10**6])  # cutoffs above N count at N
+        hits, ap = evaluation._hit_stats(np.flatnonzero(rel), rows, N, cutoffs)
+        want_hits, want_ap = dense_ap(rel, cutoffs)
+        assert hits.tolist() == want_hits.tolist()
+        assert ap.dtype == want_ap.dtype and ap.tobytes() == want_ap.tobytes()
+
     def test_average_precision_is_the_same_formula(self):
         rng = np.random.default_rng(13)
         for labels in rng.integers(0, 3, (20, 400)):
@@ -177,11 +198,10 @@ def clustered_dbs(rng, sizes, q, classes, flip):
     return out
 
 
-def windowed_chunk_stats(queries, db, cutoffs, window_min=0, sample=evaluation.WINDOW_SAMPLE):
+def windowed_chunk_stats(queries, db, cutoffs, window_min=0):
     """_chunk_stats on one chunk, its windows ranked from window_min records on."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evaluation, "WINDOW_MIN_RECORDS", window_min)
-        mp.setattr(evaluation, "WINDOW_SAMPLE", sample)
         return evaluation._chunk_stats(
             _pack_words(queries.codes), queries.labels, np.asfortranarray(_pack_words(db.codes)),
             db.labels, np.argsort(db.labels, kind="stable"), db.q, np.asarray(cutoffs),
@@ -197,16 +217,15 @@ class TestWindowedRanking:
         n_q=st.integers(1, 12),
         classes=st.sampled_from([1, 3, 40]),
         flip=st.sampled_from([0.0, 0.05, 0.2, 0.5]),  # 0: exact duplicates, 0.5: no structure
-        sample=st.sampled_from([1, 4, 512]),  # a sample this small often misjudges a window
         window_min=st.sampled_from([0, 1 << 40]),
     )
-    def test_bit_identical_to_full_ranking(self, seed, q, N, n_q, classes, flip, sample, window_min):
+    def test_bit_identical_to_full_ranking(self, seed, q, N, n_q, classes, flip, window_min):
         rng = np.random.default_rng(seed)
         db, queries = clustered_dbs(rng, (N, n_q), q, classes, flip)
         # one more label among the queries, with no records in the database
         queries = CodeDatabase(np.where(rng.random(n_q) < 0.2, classes, queries.labels), queries.codes)
         cutoffs = np.array(sorted({1, 5, 100, N}))
-        hits, ap, ranked = windowed_chunk_stats(queries, db, cutoffs, window_min, sample)
+        hits, ap, ranked = windowed_chunk_stats(queries, db, cutoffs, window_min)
         want_hits, want_ap = dense_chunk_stats(queries.codes, queries.labels, db.codes, db.labels, cutoffs)
         assert hits.tolist() == want_hits.tolist()
         assert ap.dtype == want_ap.dtype and ap.tobytes() == want_ap.tobytes()
@@ -248,10 +267,25 @@ class TestWindowedRanking:
             finally:
                 tracemalloc.stop()
             assert ranked < pairs / 4 if window_min == 0 else ranked == pairs
-        # windows: 1 byte of relevance per pair plus O(N) row buffers (1.4 B per pair here);
+        # windows: each row's hit positions plus O(N) row buffers (0.38 B per pair here);
         # ranked whole: uint64 XOR words beside the distances, then the sort keys (9.0 B per pair)
-        assert peaks[0] < 2.5 * pairs
+        assert peaks[0] < 0.75 * pairs
         assert peaks[1 << 40] > 8 * pairs
+
+    @pytest.mark.parametrize("window_min", [0, 1 << 40])
+    def test_every_record_relevant_stays_within_the_budget(self, window_min):
+        rng = np.random.default_rng(23)
+        db, queries = clustered_dbs(rng, (5000, 100), 16, 1, 0.5)  # one class: every record is a hit
+        pairs = len(queries) * len(db)
+        tracemalloc.start()
+        try:
+            windowed_chunk_stats(queries, db, [10, 5000], window_min)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # int64 hit positions, the padded float64 AP sums and their bool fill mask, beside
+        # the bool relevance when ranked whole: 17.4 B per pair windowed, 18.2 whole
+        assert peak < 20 * pairs < evaluation.EVAL_BYTES_PER_PAIR * pairs
 
     def test_default_ranks_long_rows_by_window(self, caplog, monkeypatch):
         rng = np.random.default_rng(22)
