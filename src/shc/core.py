@@ -77,13 +77,13 @@ class InfeasibleError(ShcError):
 
 
 def _pm1_array(values, ndim, what):
-    """Validate a {-1,+1} array and return it as read-only int8."""
+    """Validate a {-1,+1} array and return it as read-only, C-ordered int8."""
     arr = np.asarray(values)
     if arr.ndim != ndim:
         raise ValidationError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
     if arr.size and not ((arr == 1) | (arr == -1)).all():
         raise ValidationError(f"{what} entries must be exactly -1 or +1")
-    out = arr.astype(np.int8)
+    out = arr.astype(np.int8, order="C")
     out.flags.writeable = False
     return out
 
@@ -191,7 +191,7 @@ class SimilarityMatrix:
             raise ValidationError("similarity matrix must be exactly symmetric")
         if not (np.diag(arr) == 1.0).all():
             raise ValidationError("similarity diagonal must equal 1 exactly")
-        if np.abs(arr).max() > 1.0:
+        if arr.max() > 1.0 or arr.min() < -1.0:
             raise ValidationError("similarity entries must lie in [-1, 1]")
         arr = arr.copy()
         arr.flags.writeable = False
@@ -207,24 +207,35 @@ class SimilarityMatrix:
             raise ValidationError("similarity matrix needs at least one class")
         if not np.isfinite(arr).all():
             raise ValidationError("similarity entries must be finite")
-        asym = np.abs(arr - arr.T).max()
+        buf = np.subtract(arr, arr.T)
+        asym = np.abs(buf, out=buf).max()
         if asym > SNAP_TOL:
             raise ValidationError(f"similarity matrix asymmetry {asym:g} exceeds tolerance {SNAP_TOL:g}")
         diag_dev = np.abs(np.diag(arr) - 1.0).max()
         if diag_dev > SNAP_TOL:
             raise ValidationError(f"similarity diagonal deviates from 1 by {diag_dev:g} (> {SNAP_TOL:g})")
-        overflow = max(0.0, float(np.abs(arr).max()) - 1.0)
+        overflow = max(0.0, max(float(arr.max()), -float(arr.min())) - 1.0)
         if overflow > SNAP_TOL:
             raise ValidationError(f"similarity entries exceed [-1, 1] by {overflow:g} (> {SNAP_TOL:g})")
-        return cls._symmetrized(arr)
+        return cls._symmetrized(arr, out=buf)
 
     @classmethod
-    def _symmetrized(cls, arr) -> "SimilarityMatrix":
-        """Average a square matrix with its transpose, clip to [-1, 1], set a unit diagonal."""
-        sym = (arr + arr.T) / 2.0
+    def _symmetrized(cls, arr, out=None) -> "SimilarityMatrix":
+        """Average a square matrix with its transpose, clip to [-1, 1], set a unit diagonal.
+
+        The result is built in ``out`` (a new array by default) and kept, not
+        copied.  Every caller hands in finite entries, so it meets the
+        constructor's rules by construction: exactly symmetric, a unit
+        diagonal and entries in [-1, 1].
+        """
+        sym = np.add(arr, arr.T, out=out)
+        np.divide(sym, 2.0, out=sym)
         np.clip(sym, -1.0, 1.0, out=sym)
         np.fill_diagonal(sym, 1.0)
-        return cls(sym)
+        sym.flags.writeable = False
+        matrix = cls.__new__(cls)
+        matrix.values = sym
+        return matrix
 
     @property
     def C(self) -> int:

@@ -62,15 +62,28 @@ def _similarity(S, C: int | None = None) -> SimilarityMatrix:
     return sim
 
 
+def _gram(rows) -> np.ndarray:
+    """The Gram matrix G = rows rows^T of C {-1,+1} rows of length q, from the Hamming kernel.
+
+    G = q - 2 dist holds exact integers in the smallest signed dtype that
+    holds +-q, no narrower than int16 (int16 up to q = 32767).
+    """
+    rows = np.asarray(rows)
+    q = rows.shape[1]
+    words = _pack_words(rows)
+    dist = _hamming(words, words, q)
+    G = np.subtract(q, dist, dtype=np.promote_types(np.int16, np.min_scalar_type(-q - 1)))
+    G -= dist  # q - dist lies in [0, q] and q - 2 dist in [-q, q], so neither step overflows
+    return G
+
+
 def _gram_stats(rows, Sv=None) -> tuple[float | None, np.ndarray]:
     """Statistics of the Gram matrix G = rows rows^T of C {-1,+1} rows of length q.
 
     Returns the similarity loss ||S - G/q||_F^2 (None without ``Sv``) and the
-    Hamming distances of the i < j pairs in row-major order.  G holds exact
-    integers in float64, so the distances are exact.
+    Hamming distances of the i < j pairs in row-major order, both exact.
     """
-    rows = np.asarray(rows, dtype=np.float64)
-    return _stats_of_gram(rows @ rows.T, rows.shape[1], Sv)
+    return _stats_of_gram(_gram(rows), np.shape(rows)[1], Sv)
 
 
 def _stats_of_gram(G: np.ndarray, q: int, Sv=None) -> tuple[float | None, np.ndarray]:
@@ -83,8 +96,9 @@ def _stats_of_gram(G: np.ndarray, q: int, Sv=None) -> tuple[float | None, np.nda
         s_loss = float(fit.sum())
     C = G.shape[0]
     dist = G[np.less.outer(np.arange(C), np.arange(C))]  # the i < j entries, row-major
-    np.subtract(q, dist, out=dist)
+    # (q - G) / 2 as q // 2 - G // 2, exact since G and q have one parity, and within G's dtype
     np.floor_divide(dist, 2, out=dist)
+    np.subtract(q // 2, dist, out=dist)
     return s_loss, dist
 
 
@@ -227,8 +241,8 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
     if not 1 <= d <= q:
         raise ValidationError(f"d must lie in [1, {q}], got {d}")
     H = centers.matrix.astype(np.float64)
-    HT = H.T.copy()  # column k of H as a contiguous row
-    G = H @ H.T  # exact integers in float64, so no cast on a flip
+    HT = centers.matrix.T.astype(np.int16, order="C")  # column k of H as a contiguous row
+    G = _gram(centers.matrix)  # exact integers, so a flip's step is exact too
     tight_above = q - 2 * d - 2
     # far above the rounding error of r @ H (|S| <= 1), so each applied flip really lowers s_loss
     lowers = -(C - 1) / q - 1e-9 * C
@@ -236,12 +250,13 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
     # and copies it (and G's row) into the column, since S and G are exactly
     # symmetric.  Its diagonal is S_ii - G_ii/q = 1 - q/q, exactly 0.0, and a
     # flip leaves G_ii alone.
-    R = Sv - G / q
+    R = np.divide(G, q)
+    np.subtract(Sv, R, out=R)
     loss_buf = np.empty((C, C))
     # bit k of words[i] is set where h_ik = +1, so words[j] ^ words[i] has the bits where j and i differ
     words = [int.from_bytes(packed.tobytes(), "little")
              for packed in np.packbits(H > 0, axis=1, bitorder="little")]
-    gain, step, row = np.empty(q), np.empty(C), np.empty(C)
+    gain, step, row = np.empty(q), np.empty(C, dtype=G.dtype), np.empty(C)
     # The screen.  A visit to i flips nothing if every gain h_ik (R[i] @ H)_k of a bit k
     # that the mask leaves open is >= lowers: the unmasked best is then either >= lowers
     # or blocked, and the masked best is >= lowers.  At the start of a screened sweep
@@ -297,7 +312,7 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
                 np.minimum(floor, column * HT[k], out=floor)
                 floor[tight] = -np.inf
                 bar += 2 / q
-            np.multiply(HT[k], -2.0 * h, out=step)
+            np.multiply(HT[k], -2 * int(h), out=step)
             step[i] = 0
             G[i] += step
             G[:, i] = G[i]

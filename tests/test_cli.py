@@ -433,6 +433,17 @@ class TestEntryPoint:
                     found.append(f"{path.name}:{node.lineno}")
         assert found == [] and in_kernel > 0
 
+    def test_optimizer_takes_no_gram_from_a_matrix_product(self):
+        # stage 2 gets its Grams from core._hamming: no X @ X.T, a matrix times its own transpose
+        def own_transpose(left, right):
+            return isinstance(right, ast.Attribute) and right.attr == "T" and ast.dump(right.value) == ast.dump(left)
+
+        path = Path(shc.__file__).parent / "optimizer.py"
+        found = [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                 and own_transpose(node.left, node.right)]
+        assert found == []
+
 
 def _u32x2(a, b):
     return struct.pack("<II", a, b)

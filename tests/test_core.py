@@ -24,6 +24,9 @@ from shc.core import (
     write_codes,
 )
 from shc.core import _hamming, _pack_words
+from shc.evaluation import evaluate, rank_database
+from shc.optimizer import descend, init_centers, quality_metrics, violation_count
+from shc.similarity import cosine_similarity_matrix
 
 
 def code(*bits):
@@ -282,6 +285,8 @@ class TestSimilarityMatrix:
             SimilarityMatrix([[0.9, 0.2], [0.2, 1.0]])
         with pytest.raises(ValidationError):
             SimilarityMatrix([[1.0, 1.2], [1.2, 1.0]])
+        with pytest.raises(ValidationError):
+            SimilarityMatrix([[1.0, -1.2], [-1.2, 1.0]])
         with pytest.raises(DimensionMismatchError):
             SimilarityMatrix([[1.0, 0.0]])
 
@@ -293,6 +298,22 @@ class TestSimilarityMatrix:
     def test_snap_rejects_beyond_tolerance(self):
         with pytest.raises(ValidationError):
             SimilarityMatrix.snap([[1.0, 0.2], [0.21, 1.0]])
+
+    @pytest.mark.parametrize("dtype, bound", [(np.float64, 1.2), (np.float32, 2.2)])
+    def test_snap_holds_one_buffer(self, dtype, bound):
+        # the asymmetry is measured in the buffer that S is then symmetrized into and kept in;
+        # a float32 input adds its float64 conversion
+        C = 400
+        values = np.random.default_rng(0).uniform(-0.5, 0.5, (C, C))
+        values = (values + values.T).astype(dtype)
+        np.fill_diagonal(values, 1.0)
+        tracemalloc.start()
+        try:
+            SimilarityMatrix.snap(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * C * C * 8
 
     def test_snap_rejects_empty(self):
         with pytest.raises(ValidationError, match="at least one class"):
@@ -349,3 +370,27 @@ class TestCenterSetAndDatabase:
             CodeDatabase([-1], np.ones((1, 4), dtype=np.int8))
         with pytest.raises(ValidationError):
             CodeDatabase(np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int8))
+
+
+@pytest.mark.parametrize("q", [64, 65, 128])
+def test_fortran_ordered_rows_give_the_c_ordered_results(q):
+    # the types hold C-ordered int8, so the packed kernel gets contiguous words whatever the input order
+    rng = np.random.default_rng(q)
+    codes = (rng.integers(0, 2, (300, q)) * 2 - 1).astype(np.int8)
+    labels = rng.integers(0, 10, 300)
+    db, f_db = CodeDatabase(labels, codes), CodeDatabase(labels, np.asfortranarray(codes))
+    queries = CodeDatabase(labels[:30], codes[:30])
+    f_queries = CodeDatabase(labels[:30], np.asfortranarray(codes[:30]))
+    assert f_db.codes.flags.c_contiguous and f_queries.codes.flags.c_contiguous
+    assert evaluate(f_queries, f_db, [10, 300]) == evaluate(queries, db, [10, 300])
+    assert np.array_equal(rank_database(BinaryCode(codes[0]), f_db),
+                          rank_database(BinaryCode(codes[0]), db))
+
+    C, d = 40, q // 4
+    S = cosine_similarity_matrix(rng.normal(size=(C, 16)))
+    centers = init_centers(q, C, d, seed=0)
+    f_centers = CenterSet(np.asfortranarray(centers.matrix))
+    assert quality_metrics(f_centers, S) == quality_metrics(centers, S)
+    assert violation_count(f_centers, d) == violation_count(centers, d)
+    out, trace = descend(S, f_centers, d)
+    assert (out, trace) == descend(S, centers, d)

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -10,6 +11,7 @@ from shc.core import CenterSet, DimensionMismatchError, ValidationError
 from shc.gv import compute_min_distance
 from shc.optimizer import (
     INIT_HADAMARD,
+    _gram,
     _similarity,
     _stats_of_gram,
     descend,
@@ -286,7 +288,7 @@ def test_descend_matches_reference(name, S, d, init, caplog):
 
 
 @pytest.mark.parametrize("C", [1, 2, 37, 600])
-@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+@pytest.mark.parametrize("dtype", [np.int16, np.int64, np.float64])
 @pytest.mark.parametrize("with_s", [False, True])
 def test_stats_of_gram_matches_reference(C, dtype, with_s):
     q = 64
@@ -300,6 +302,43 @@ def test_stats_of_gram_matches_reference(C, dtype, with_s):
     assert _off_diagonal(G) == ref_off  # the ALM reference's mu term reads the sum from G itself
     assert dist.dtype == ref_dist.dtype
     assert np.array_equal(dist, ref_dist)
+
+
+@pytest.mark.parametrize("C, q", [(50, q) for q in (1, 7, 63, 64, 65, 255, 256, 300)] + [(2, 32768)])
+def test_gram_is_the_integer_product(C, q):
+    rows = np.random.default_rng(q).choice(np.array([-1, 1], dtype=np.int8), size=(C, q))
+    rows[1] = -rows[0]  # G reaches -q as well as q
+    G = _gram(rows)
+    assert G.dtype == (np.int16 if q < 2**15 else np.int32)
+    assert np.array_equal(G, rows.astype(np.int64) @ rows.T)
+
+
+def traced_peak(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCenterStageMemory:
+    """Traced peaks at C = 400, q = 64 in C x C float64 arrays; S is made before the trace."""
+
+    C, q = 400, 64
+    CC = C * C * 8
+
+    def test_descend_holds_r_the_loss_buffer_and_an_int16_gram(self):
+        S, d, init = cosine_fixture(self.C, self.q)
+        # R, the loss buffer and G are 2.25; the O(Cq) rest is H, its int16 transpose
+        # and the screen's products P = R @ H and T @ H, six C x q float64 arrays at most
+        bound = 2.6 * self.CC + 6 * self.C * self.q * 8
+        assert traced_peak(lambda: descend(S, init, d)) <= bound
+
+    def test_quality_metrics_and_violation_count(self):
+        S, d, init = cosine_fixture(self.C, self.q)
+        peak = traced_peak(lambda: (quality_metrics(init, S), violation_count(init, d)))
+        assert peak <= 1.7 * self.CC
 
 
 def test_screen_runs_after_quiet_sweeps_and_skips_visits(caplog):
