@@ -228,13 +228,13 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
     flip lowers s_loss by more than that margin.
     Returns the centers and the s_loss after each sweep.  Deterministic.
 
-    The rows r are kept in a C x C matrix, so a visit costs one product
-    r @ H; the tight-pair mask, an OR of packed bit words, is built only
-    when the best flip of the unmasked gains would lower s_loss, and a flip
-    rewrites row and column i of G and of that matrix in O(C).  After a
-    sweep that flipped fewer than C/4 bits, a sweep first bounds every
-    center's masked gains from one product R @ H and skips the visits that
-    bound proves flip nothing.
+    A visit forms r from row i of G in O(C) and costs one product r @ H;
+    the tight-pair mask, an OR of packed bit words, is built only when the
+    best flip of the unmasked gains would lower s_loss, and a flip rewrites
+    row and column i of G in O(C).  S - G/q is formed in full once per
+    sweep, for its s_loss.  After a sweep that flipped fewer than C/4 bits,
+    a sweep first bounds every center's masked gains from one product
+    R @ H (R = S - G/q) and skips the visits that bound proves flip nothing.
     """
     Sv = _similarity(S, centers.C).values
     C, q = centers.C, centers.q
@@ -246,13 +246,11 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
     tight_above = q - 2 * d - 2
     # far above the rounding error of r @ H (|S| <= 1), so each applied flip really lowers s_loss
     lowers = -(C - 1) / q - 1e-9 * C
-    # R = S - G/q, kept exact: a flip rewrites row i from the same expression
-    # and copies it (and G's row) into the column, since S and G are exactly
-    # symmetric.  Its diagonal is S_ii - G_ii/q = 1 - q/q, exactly 0.0, and a
-    # flip leaves G_ii alone.
-    R = np.divide(G, q)
-    np.subtract(Sv, R, out=R)
-    loss_buf = np.empty((C, C))
+    # R = S - G/q is not kept: a visit forms row i of it, and each sweep all of it in buf
+    # (the one C x C float64 array beside S), always by the same divide then subtract,
+    # so every entry has one value, exactly symmetric as S and G are.  Its diagonal is
+    # S_ii - G_ii/q = 1 - q/q, exactly 0.0, and a flip leaves G_ii alone.
+    buf = np.empty((C, C))
     # bit k of words[i] is set where h_ik = +1, so words[j] ^ words[i] has the bits where j and i differ
     words = [int.from_bytes(packed.tobytes(), "little")
              for packed in np.packbits(H > 0, axis=1, bitorder="little")]
@@ -277,9 +275,10 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
     while flips:
         floor = None
         if flips < C / 4:
-            T = np.greater(G, tight_above, out=loss_buf)  # 1.0 where tight, exact
-            P = R @ H
+            T = np.greater(G, tight_above, out=buf)  # 1.0 where tight, exact
             blocked = (T @ H) * H < T.sum(axis=1)[:, None]  # exact small integers
+            R = np.divide(G, q, out=buf)
+            P = np.subtract(Sv, R, out=R) @ H
             floor = np.where(blocked, np.inf, P * H).min(axis=1)
             bar = lowers + tol
             certified = 0
@@ -288,7 +287,9 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
             if floor is not None and floor[i] >= bar:
                 certified += 1
                 continue
-            np.dot(R[i], H, out=gain)
+            np.divide(G[i], q, out=row)
+            np.subtract(Sv[i], row, out=row)  # row i of S - G/q
+            np.dot(row, H, out=gain)
             gain *= H[i]
             k = int(gain.argmin())
             if not gain[k] < lowers:
@@ -308,7 +309,7 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
             h = H[i, k]
             if floor is not None:
                 column = P[:, k]
-                column -= (2.0 * h) * R[i]  # R[i] is still R[:, i] before the flip
+                column -= (2.0 * h) * row  # R[:, i] before the flip
                 np.minimum(floor, column * HT[k], out=floor)
                 floor[tight] = -np.inf
                 bar += 2 / q
@@ -318,11 +319,10 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
             G[:, i] = G[i]
             H[i, k] = HT[k, i] = -h
             words[i] ^= 1 << k
-            np.divide(G[i], q, out=row)
-            np.subtract(Sv[i], row, out=R[i])
-            R[:, i] = R[i]
             flips += 1
-        s_loss = float(np.multiply(R, R, out=loss_buf).sum())  # R is exactly S - G/q
+        R = np.divide(G, q, out=buf)
+        np.subtract(Sv, R, out=R)
+        s_loss = float(np.multiply(R, R, out=R).sum())
         trace.append(s_loss)
         if floor is not None:
             log.debug("descend: sweep %d screened, %d of %d visits certified", len(trace), certified, C)

@@ -367,7 +367,7 @@ class TestHelp:
             assert command in text
 
 
-def run_python(args):
+def run_python(args, **env):
     """Run a child interpreter that imports the same shc as this test, installed or not."""
     src = str(Path(shc.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -375,7 +375,7 @@ def run_python(args):
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, **env, "PYTHONPATH": path},
     )
 
 
@@ -397,6 +397,23 @@ class TestEntryPoint:
             code = f"import sys; from shc.cli import main; rc = main({argv!r}); print(rc, 'scipy' in sys.modules)"
             proc = run_python(["-c", code])
             assert proc.stdout.strip() == "0 False", (extra, proc.stderr)
+
+    def test_centers_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # one similarity file, written once in this process, read by both children
+        sim = tmp_path / "sim.txt"
+        write_similarity(cosine_similarity_matrix(np.random.default_rng(3).normal(size=(300, 32))), sim)
+        outputs = []
+        for threads in ("1", "2"):
+            out, report = tmp_path / f"c{threads}.shc", tmp_path / f"r{threads}.json"
+            proc = run_python(["-m", "shc", "-v", "centers", "--sim", str(sim), "--bits", "64",
+                               "--seed", "1", "--out", str(out), "--report", str(report)],
+                              OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((out.read_bytes(), report.read_bytes()))
+        assert outputs[0] == outputs[1]
+        # a sweep that flips fewer than C/4 bits and is not the last is followed by a screened one
+        flips = [int(n) for n in re.findall(r"descend: sweep \d+ flipped (\d+) bits", proc.stderr)]
+        assert any(n < 300 / 4 for n in flips[:-1])
 
     def test_package_source_imports_no_scipy(self):
         # numpy is the only runtime dependency: no module of the package imports scipy, even lazily

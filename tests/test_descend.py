@@ -335,6 +335,12 @@ class TestCenterStageMemory:
         bound = 2.6 * self.CC + 6 * self.C * self.q * 8
         assert traced_peak(lambda: descend(S, init, d)) <= bound
 
+    def test_descend_keeps_no_residual_matrix(self):
+        S, d, init = cosine_fixture(self.C, self.q)
+        # one C x C float64 buffer and G (1.25) beside S, which is made before the trace
+        bound = 1.3 * self.CC + 6 * self.C * self.q * 8
+        assert traced_peak(lambda: descend(S, init, d)) <= bound
+
     def test_quality_metrics_and_violation_count(self):
         S, d, init = cosine_fixture(self.C, self.q)
         peak = traced_peak(lambda: (quality_metrics(init, S), violation_count(init, d)))
