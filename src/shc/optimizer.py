@@ -77,33 +77,32 @@ def _gram(rows) -> np.ndarray:
     return G
 
 
-def _gram_stats(rows, Sv=None) -> tuple[float | None, np.ndarray]:
-    """Statistics of the Gram matrix G = rows rows^T of C {-1,+1} rows of length q.
+def _residual(Sv, G, q: int, out=None) -> np.ndarray:
+    """S - G/q as one divide then one subtract, in ``out`` or one new array; the one place it is formed."""
+    out = np.divide(G, q, out=out)
+    return np.subtract(Sv, out, out=out)
 
-    Returns the similarity loss ||S - G/q||_F^2 (None without ``Sv``) and the
-    Hamming distances of the i < j pairs in row-major order, both exact.
+
+def _s_loss(Sv, G, q: int, out=None) -> float:
+    """The similarity loss ||S - G/q||_F^2, squared in place where :func:`_residual` put it."""
+    r = _residual(Sv, G, q, out)
+    return float(np.multiply(r, r, out=r).sum())
+
+
+def _d_min(G: np.ndarray, q: int) -> int | None:
+    """Least pairwise Hamming distance (q - max_{i != j} G_ij) / 2 of a Gram matrix; None for one row.
+
+    G_ii = q is the row maximum, so a row's largest off-diagonal entry is its second largest.
     """
-    return _stats_of_gram(_gram(rows), np.shape(rows)[1], Sv)
+    return None if len(G) == 1 else (q - int(np.partition(G, -2, axis=1)[:, -2].max())) // 2
 
 
-def _stats_of_gram(G: np.ndarray, q: int, Sv=None) -> tuple[float | None, np.ndarray]:
-    """:func:`_gram_stats` from a Gram matrix G of exact integers (float or int) of length-q rows."""
-    s_loss = None
-    if Sv is not None:  # ||Sv - G/q||_F^2 in one C x C float64 temporary
-        fit = G / q
-        np.subtract(Sv, fit, out=fit)
-        np.multiply(fit, fit, out=fit)
-        s_loss = float(fit.sum())
-    C = G.shape[0]
-    dist = G[np.less.outer(np.arange(C), np.arange(C))]  # the i < j entries, row-major
-    # (q - G) / 2 as q // 2 - G // 2, exact since G and q have one parity, and within G's dtype
-    np.floor_divide(dist, 2, out=dist)
-    np.subtract(q // 2, dist, out=dist)
-    return s_loss, dist
+def _close_pairs(G: np.ndarray, q: int, d: int) -> int:
+    """Unordered pairs of a Gram matrix at Hamming distance below d, that is with G_ij > q - 2d.
 
-
-def _count_close_pairs(rows, d: int) -> int:
-    return int(np.count_nonzero(_gram_stats(rows)[1] < d))
+    For d >= 1 the diagonal G_ii = q counts too and is taken off; for d <= 0 nothing counts.
+    """
+    return max(0, int(np.count_nonzero(G > q - 2 * d)) - len(G)) // 2
 
 
 def init_centers(q: int, C: int, d: int, seed: int, method: str = INIT_GREEDY) -> CenterSet:
@@ -112,9 +111,10 @@ def init_centers(q: int, C: int, d: int, seed: int, method: str = INIT_GREEDY) -
     Greedy farthest-point: per slot, draw 200 uniform candidates, accept the
     first with distance >= d to everything accepted, falling back to the
     max-min candidate.  When the target spacing is not met the set is still
-    returned and the violating pair count is logged.  Hadamard seeding uses
-    the rows of a power-of-two Hadamard matrix and their complements
-    (pairwise distance q/2 for up to 2q classes).
+    returned and the violating pair count is logged; only a fallback slot
+    adds pairs below d, so they are counted as the slots fill.  Hadamard
+    seeding uses the rows of a power-of-two Hadamard matrix and their
+    complements (pairwise distance q/2 for up to 2q classes).
     """
     if q < 1:
         raise ValidationError(f"code length must be positive, got {q}")
@@ -133,7 +133,7 @@ def init_centers(q: int, C: int, d: int, seed: int, method: str = INIT_GREEDY) -
     rng = np.random.default_rng(seed)
     rows = np.empty((C, q), dtype=np.int8)
     words = np.empty((C, (q + 63) // 64), dtype=np.uint64)  # rows[:filled], packed
-    filled = 0
+    filled = bad = 0
     while filled < C:
         cand = (rng.integers(0, 2, size=(_CANDIDATES_PER_SLOT, q), dtype=np.int8) * 2) - 1
         if filled == 0:
@@ -157,10 +157,10 @@ def init_centers(q: int, C: int, d: int, seed: int, method: str = INIT_GREEDY) -
                     rows[filled] = _exhaustive_max_min(words[:filled], q)
                 else:
                     rows[filled] = cand[best]
+                bad += int(np.count_nonzero(_hamming(_pack_words(rows[filled]), words[:filled], q) < d))
         words[filled] = _pack_words(rows[filled])
         filled += 1
 
-    bad = _count_close_pairs(rows, d)
     if bad:
         log.warning(
             "greedy init: %d of %d center pairs below target distance %d (q=%d, C=%d)",
@@ -189,7 +189,7 @@ def _hadamard_centers(q: int, C: int, d: int) -> CenterSet:
     rows = _sylvester_hadamard(q)
     pool = np.vstack([rows, -rows])
     centers = pool[:C]
-    bad = _count_close_pairs(centers, d)
+    bad = _close_pairs(_gram(centers), q, d)
     if bad:
         log.warning(
             "hadamard init: %d center pairs below target distance %d (pairwise spacing is q/2=%d)",
@@ -208,7 +208,7 @@ def _sylvester_hadamard(q: int) -> np.ndarray:
 
 def violation_count(centers: CenterSet, d: int) -> int:
     """Number of unordered center pairs with Hamming distance below d."""
-    return _count_close_pairs(centers.matrix, d)
+    return _close_pairs(_gram(centers.matrix), centers.q, d)
 
 
 def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
@@ -231,10 +231,11 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
     A visit forms r from row i of G in O(C) and costs one product r @ H;
     the tight-pair mask, an OR of packed bit words, is built only when the
     best flip of the unmasked gains would lower s_loss, and a flip rewrites
-    row and column i of G in O(C).  S - G/q is formed in full once per
-    sweep, for its s_loss.  After a sweep that flipped fewer than C/4 bits,
-    a sweep first bounds every center's masked gains from one product
-    R @ H (R = S - G/q) and skips the visits that bound proves flip nothing.
+    row and column i of G in O(C).  :func:`_residual` forms S - G/q, the
+    row r per visit and the whole matrix once per sweep, for its s_loss.
+    After a sweep that flipped fewer than C/4 bits, a sweep first bounds
+    every center's masked gains from one product R @ H (R = S - G/q) and
+    skips the visits that bound proves flip nothing.
     """
     Sv = _similarity(S, centers.C).values
     C, q = centers.C, centers.q
@@ -246,8 +247,8 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
     tight_above = q - 2 * d - 2
     # far above the rounding error of r @ H (|S| <= 1), so each applied flip really lowers s_loss
     lowers = -(C - 1) / q - 1e-9 * C
-    # R = S - G/q is not kept: a visit forms row i of it, and each sweep all of it in buf
-    # (the one C x C float64 array beside S), always by the same divide then subtract,
+    # R = S - G/q is not kept: _residual forms row i of it per visit, and all of it in buf
+    # (the one C x C float64 array beside S) per sweep, always by one divide then subtract,
     # so every entry has one value, exactly symmetric as S and G are.  Its diagonal is
     # S_ii - G_ii/q = 1 - q/q, exactly 0.0, and a flip leaves G_ii alone.
     buf = np.empty((C, C))
@@ -277,8 +278,7 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
         if flips < C / 4:
             T = np.greater(G, tight_above, out=buf)  # 1.0 where tight, exact
             blocked = (T @ H) * H < T.sum(axis=1)[:, None]  # exact small integers
-            R = np.divide(G, q, out=buf)
-            P = np.subtract(Sv, R, out=R) @ H
+            P = _residual(Sv, G, q, out=buf) @ H
             floor = np.where(blocked, np.inf, P * H).min(axis=1)
             bar = lowers + tol
             certified = 0
@@ -287,8 +287,7 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
             if floor is not None and floor[i] >= bar:
                 certified += 1
                 continue
-            np.divide(G[i], q, out=row)
-            np.subtract(Sv[i], row, out=row)  # row i of S - G/q
+            _residual(Sv[i], G[i], q, out=row)
             np.dot(row, H, out=gain)
             gain *= H[i]
             k = int(gain.argmin())
@@ -320,18 +319,14 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
             H[i, k] = HT[k, i] = -h
             words[i] ^= 1 << k
             flips += 1
-        R = np.divide(G, q, out=buf)
-        np.subtract(Sv, R, out=R)
-        s_loss = float(np.multiply(R, R, out=R).sum())
+        s_loss = _s_loss(Sv, G, q, out=buf)
         trace.append(s_loss)
         if floor is not None:
             log.debug("descend: sweep %d screened, %d of %d visits certified", len(trace), certified, C)
         if log.isEnabledFor(logging.INFO):
-            dist = _stats_of_gram(G, q)[1]
             log.info(
                 "descend: sweep %d flipped %d bits, s_loss=%.6g, d_min=%s, violations=%d",
-                len(trace), flips, s_loss, int(dist.min()) if dist.size else None,
-                np.count_nonzero(dist < d),
+                len(trace), flips, s_loss, _d_min(G, q), _close_pairs(G, q, d),
             )
     return CenterSet(H.astype(np.int8)), trace
 
@@ -343,5 +338,6 @@ def quality_metrics(centers: CenterSet, S) -> tuple[int | None, float]:
     With a single center there are no pairs, so the distance is reported as
     None rather than a misleading 0.
     """
-    s_loss, dist = _gram_stats(centers.matrix, _similarity(S, centers.C).values)
-    return (int(dist.min()) if dist.size else None), s_loss
+    Sv = _similarity(S, centers.C).values
+    G = _gram(centers.matrix)
+    return _d_min(G, centers.q), _s_loss(Sv, G, centers.q)

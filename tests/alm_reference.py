@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from shc.core import CenterSet, DimensionMismatchError, ShcError, ValidationError
-from shc.optimizer import INIT_GREEDY, _gram_stats, _similarity, init_centers
+from shc.optimizer import INIT_GREEDY, _close_pairs, _gram, _s_loss, _similarity, init_centers
 
 log = logging.getLogger(__name__)
 
@@ -262,14 +262,14 @@ def constrained_objective(centers: CenterSet, S, mu: float) -> float:
     ||S - (1/q) H^T H||_F^2 + mu * sum_{i != j} h_i^T h_j.
     """
     rows = centers.matrix.astype(np.float64)
-    s_loss, _ = _gram_stats(rows, _similarity(S, centers.C).values)
+    s_loss = _s_loss(_similarity(S, centers.C).values, _gram(rows), centers.q)
     return s_loss + mu * _off_diagonal(rows @ rows.T)
 
 
 def _gram_score(H: np.ndarray, Sv: np.ndarray, d: int, mu: float) -> tuple[int, float]:
     """Incumbent key of the (q, C) centers H: (violated pair count, constrained objective)."""
-    s_loss, dist = _gram_stats(H.T, Sv)
-    return int(np.count_nonzero(dist < d)), s_loss + mu * _off_diagonal(H.T @ H)
+    G = _gram(H.T)
+    return _close_pairs(G, len(H), d), _s_loss(Sv, G, len(H)) + mu * _off_diagonal(H.T @ H)
 
 
 def optimize(

@@ -11,9 +11,11 @@ from shc.core import CenterSet, DimensionMismatchError, ValidationError
 from shc.gv import compute_min_distance
 from shc.optimizer import (
     INIT_HADAMARD,
+    _close_pairs,
+    _d_min,
     _gram,
+    _s_loss,
     _similarity,
-    _stats_of_gram,
     descend,
     init_centers,
     quality_metrics,
@@ -177,7 +179,7 @@ def test_gap_to_exhaustive_optimum(C):
 def reference_descend(S, centers, d):
     """The descent as first written: r, the gains and the tight-pair mask rebuilt on every visit.
 
-    The fast :func:`descend` keeps R = S - G/q and builds the mask only for
+    The fast :func:`descend` screens quiet sweeps and builds the mask only for
     an improving flip; it must return the same centers and trace bit for bit.
     """
     log = logging.getLogger("shc.optimizer")
@@ -296,12 +298,23 @@ def test_stats_of_gram_matches_reference(C, dtype, with_s):
     rows = rng.choice([-1, 1], size=(C, q))
     G = (rows @ rows.T).astype(dtype)
     Sv = rng.uniform(-1, 1, (C, C)) if with_s else None
-    s_loss, dist = _stats_of_gram(G, q, Sv)
     ref_loss, ref_off, ref_dist = reference_stats_of_gram(G, q, Sv)
-    assert s_loss == ref_loss
+    if with_s:
+        assert _s_loss(Sv, G, q) == ref_loss
     assert _off_diagonal(G) == ref_off  # the ALM reference's mu term reads the sum from G itself
-    assert dist.dtype == ref_dist.dtype
-    assert np.array_equal(dist, ref_dist)
+    assert _d_min(G, q) == (int(ref_dist.min()) if ref_dist.size else None)
+    assert [_close_pairs(G, q, d) for d in range(1, q + 1)] == [
+        np.count_nonzero(ref_dist < d) for d in range(1, q + 1)]
+
+
+def test_gram_statistics_of_a_duplicated_row():
+    q = 64  # C = 1 (d_min None, no close pairs) is in the grid above
+    rows = np.random.default_rng(0).choice(np.array([-1, 1], dtype=np.int8), size=(30, q))
+    rows[17] = rows[4]
+    G = _gram(rows)
+    assert _d_min(G, q) == 0
+    assert _close_pairs(G, q, 1) == 1
+    assert violation_count(CenterSet(rows), 0) == 0  # no pair lies below distance 0
 
 
 @pytest.mark.parametrize("C, q", [(50, q) for q in (1, 7, 63, 64, 65, 255, 256, 300)] + [(2, 32768)])
@@ -345,6 +358,16 @@ class TestCenterStageMemory:
         S, d, init = cosine_fixture(self.C, self.q)
         peak = traced_peak(lambda: (quality_metrics(init, S), violation_count(init, d)))
         assert peak <= 1.7 * self.CC
+
+    def test_greedy_init_forms_no_all_pairs_gram(self):
+        _, d, _ = cosine_fixture(self.C, self.q)
+        # close pairs are counted as the slots fill, so no C x C array is formed
+        assert traced_peak(lambda: init_centers(self.q, self.C, d, seed=0)) <= 0.3 * self.CC
+
+    def test_quality_metrics_reads_its_statistics_from_g(self):
+        S, _, init = cosine_fixture(self.C, self.q)
+        # the Hamming kernel's uint64 XOR, then the loss's float64 residual beside the int16 G
+        assert traced_peak(lambda: quality_metrics(init, S)) <= 1.4 * self.CC
 
 
 def test_screen_runs_after_quiet_sweeps_and_skips_visits(caplog):

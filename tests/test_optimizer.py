@@ -18,7 +18,6 @@ from shc.optimizer import (
     INIT_GREEDY,
     INIT_HADAMARD,
     _CANDIDATES_PER_SLOT,
-    _count_close_pairs,
     _exhaustive_max_min,
     _hadamard_centers,
     descend,
@@ -181,7 +180,9 @@ log = logging.getLogger("shc.optimizer")
 def reference_init_centers(q: int, C: int, d: int, seed: int, method: str = INIT_GREEDY) -> CenterSet:
     """init_centers as it was before the candidates were ranked in blocks: all of a slot's at once.
 
-    The body is verbatim; the fast :func:`init_centers` must return the same centers.
+    The body is verbatim but for the closing count of close pairs, taken over all pairs
+    of the finished set; the fast :func:`init_centers` must return the same centers and
+    log the same warning.
     """
     if q < 1:
         raise ValidationError(f"code length must be positive, got {q}")
@@ -219,7 +220,7 @@ def reference_init_centers(q: int, C: int, d: int, seed: int, method: str = INIT
         words[filled] = _pack_words(rows[filled])
         filled += 1
 
-    bad = _count_close_pairs(rows, d)
+    bad = int(np.count_nonzero(np.triu(_hamming(words, words, q) < d, k=1)))
     if bad:
         log.warning(
             "greedy init: %d of %d center pairs below target distance %d (q=%d, C=%d)",
@@ -228,16 +229,30 @@ def reference_init_centers(q: int, C: int, d: int, seed: int, method: str = INIT
     return CenterSet(rows)
 
 
+def warnings_of(caplog, init, *args):
+    """The centers ``init(*args)`` returns and the WARNING lines it logs."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="shc.optimizer"):
+        centers = init(*args)
+    return centers.matrix, [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+
+
 class TestInitMatchesReference:
     # Every slot of (64, 600, 21) takes a candidate from the first block of 16; (16, 200, 6)
     # and (8, 200, 2) also take some from a later block, and most slots there have no
-    # candidate at distance >= d, so they take the argmax of all 200.
+    # candidate at distance >= d, so they take the argmax of all 200.  All but the first
+    # case warn, and the count of close pairs each slot adds as it fills must equal the
+    # reference's count over all pairs of the finished set.
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("q, C, d", [(64, 600, 21), (16, 200, 6), (8, 200, 2), (65, 40, 30)])
-    def test_same_centers(self, q, C, d, seed):
-        assert np.array_equal(init_centers(q, C, d, seed).matrix, reference_init_centers(q, C, d, seed).matrix)
+    def test_same_centers(self, q, C, d, seed, caplog):
+        rows, messages = warnings_of(caplog, init_centers, q, C, d, seed)
+        ref_rows, ref_messages = warnings_of(caplog, reference_init_centers, q, C, d, seed)
+        assert np.array_equal(rows, ref_rows)
+        assert messages == ref_messages
+        assert len(messages) == (q != 64)
 
-    def test_same_centers_through_the_exhaustive_branch(self, monkeypatch):
+    def test_same_centers_through_the_exhaustive_branch(self, monkeypatch, caplog):
         # With 20 candidates per slot (one full block and a partial one), all of them
         # often repeat accepted centers of q = 4, and the slot enumerates the 16 codewords.
         calls = []
@@ -249,11 +264,15 @@ class TestInitMatchesReference:
         monkeypatch.setattr(optimizer, "_CANDIDATES_PER_SLOT", 20)
         monkeypatch.setitem(globals(), "_CANDIDATES_PER_SLOT", 20)
         monkeypatch.setattr(optimizer, "_exhaustive_max_min", counted)
+        warned = 0
         for d in (1, 2):
             for seed in range(4):
-                ref = reference_init_centers(4, 16, d, seed)
-                assert np.array_equal(init_centers(4, 16, d, seed).matrix, ref.matrix), (d, seed)
-        assert calls
+                rows, messages = warnings_of(caplog, init_centers, 4, 16, d, seed)
+                ref_rows, ref_messages = warnings_of(caplog, reference_init_centers, 4, 16, d, seed)
+                assert np.array_equal(rows, ref_rows), (d, seed)
+                assert messages == ref_messages, (d, seed)
+                warned += len(messages)
+        assert calls and warned
 
 
 class TestObjective:
