@@ -71,6 +71,14 @@ def _seed(text: str) -> int:
     return _int_at_least(text, 0, "seed")
 
 
+def _bits(text: str) -> int:
+    # compute_min_distance grows about q^2: 0.6 s at q = 65535, 2 min at q = 10^6 (2 vCPUs)
+    value = _int_at_least(text, 1, "code length")
+    if value > 65535:
+        raise argparse.ArgumentTypeError(f"code length must be <= 65535, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="shc", description=__doc__.splitlines()[0])
     parser.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
@@ -81,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="feasible minimum pairwise distance for C codewords of length q",
         description="Print the smallest feasible minimum pairwise Hamming distance.",
     )
-    p.add_argument("--bits", type=int, required=True, metavar="Q", help="code length in bits")
+    p.add_argument("--bits", type=_bits, required=True, metavar="Q", help="code length in bits, 1..65535")
     p.add_argument("--classes", type=int, required=True, metavar="C", help="number of classes")
     p.set_defaults(func=_cmd_gvbound)
 
@@ -109,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
         "that keeps the distance target) and write them as a packed centers file.",
     )
     p.add_argument("--sim", required=True, metavar="FILE", help="similarity matrix file")
-    p.add_argument("--bits", type=int, required=True, metavar="Q", help="code length in bits")
+    p.add_argument("--bits", type=_bits, required=True, metavar="Q", help="code length in bits, 1..65535")
     p.add_argument(
         "--min-dist",
         type=_min_dist,

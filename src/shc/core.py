@@ -129,16 +129,6 @@ class CenterSet:
             raise ValidationError(f"center matrix must be at least 1x1, got shape {arr.shape}")
         self.matrix = arr
 
-    @classmethod
-    def from_codes(cls, codes) -> "CenterSet":
-        codes = list(codes)
-        if not codes:
-            raise ValidationError("center set needs at least one code")
-        q = codes[0].q
-        if any(c.q != q for c in codes):
-            raise DimensionMismatchError("all centers must share the same code length")
-        return cls(np.stack([c.bits for c in codes]))
-
     @property
     def C(self) -> int:
         return int(self.matrix.shape[0])
@@ -285,12 +275,6 @@ class CodeDatabase:
 
     def __len__(self) -> int:
         return int(self.codes.shape[0])
-
-    def validate_labels(self, class_count: int) -> None:
-        if len(self) and int(self.labels.max()) >= class_count:
-            raise ValidationError(
-                f"label {int(self.labels.max())} out of range for {class_count} classes"
-            )
 
     def record(self, i) -> tuple[int, BinaryCode]:
         return int(self.labels[i]), BinaryCode(self.codes[i])
@@ -442,10 +426,7 @@ def write_codes(db: CodeDatabase, sink) -> None:
         fh.write(records.tobytes())
 
 
-def read_codes(source, classes: int | None = None) -> CodeDatabase:
-    """Read a code database; with ``classes`` given, validate the label range."""
+def read_codes(source) -> CodeDatabase:
+    """Read a code database written by :func:`write_codes`."""
     records, q = _read_records(source, CODES_MAGIC, labeled=True)
-    db = CodeDatabase(records["label"].astype(np.int64), unpack_code_rows(records["code"], q))
-    if classes is not None:
-        db.validate_labels(classes)
-    return db
+    return CodeDatabase(records["label"].astype(np.int64), unpack_code_rows(records["code"], q))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BinaryCode, DimensionMismatchError, ValidationError
+from .core import BinaryCode, DimensionMismatchError, ValidationError, _pm1_array
 
 __all__ = ["LossConfig", "central_loss", "quantization_loss", "total_loss"]
 
@@ -33,57 +33,56 @@ class LossConfig:
 _DEFAULT = LossConfig()
 
 
-def _relaxed(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError(f"relaxed code must be a nonempty vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all() or np.abs(arr).max() > 1.0:
+def _lengths(rows, what) -> set[int]:
+    """The distinct lengths of ``rows``, each of which must be a nonempty vector."""
+    shapes = {np.shape(row) for row in rows}
+    for shape in shapes:
+        if len(shape) != 1 or shape[0] == 0:
+            raise ValidationError(f"{what} must be a nonempty vector, got shape {shape}")
+    return {shape[0] for shape in shapes}
+
+
+def _relaxed(rows) -> np.ndarray:
+    """The entries of nonempty relaxed-code vectors, joined into one float64 vector in [-1, 1]."""
+    arr = np.concatenate(rows, dtype=np.float64)
+    if not (np.abs(arr) <= 1.0).all():
         raise ValidationError("relaxed code entries must lie in [-1, 1]")
     return arr
-
-
-def _center_bits(center) -> np.ndarray:
-    if isinstance(center, BinaryCode):
-        return center.bits.astype(np.float64)
-    return BinaryCode(center).bits.astype(np.float64)
 
 
 def central_loss(batch, cfg: LossConfig = _DEFAULT) -> float:
     """Mean per-image cross-entropy between relaxed codes and their centers.
 
-    ``batch`` is a sequence of (relaxed code, center) pairs.  Probabilities
+    ``batch`` is a sequence of (relaxed code, center) pairs of one common
+    length; a center is a :class:`BinaryCode` or a +-1 vector.  Probabilities
     (1 + b)/2 are clamped into [epsilon, 1 - epsilon] before the log, so
     exact +-1 entries are legal input.  Zero batch size is an error.
     """
-    total = 0.0
-    n = 0
-    q = None
-    for relaxed, center in batch:
-        b = _relaxed(relaxed)
-        h = _center_bits(center)
-        if b.size != h.size:
-            raise DimensionMismatchError(f"code lengths differ: {b.size} vs {h.size}")
-        if q is None:
-            q = b.size
-        elif b.size != q:
-            raise DimensionMismatchError(f"batch mixes code lengths {q} and {b.size}")
-        p = np.clip((1.0 + b) / 2.0, cfg.epsilon, 1.0 - cfg.epsilon)
-        t = (1.0 + h) / 2.0
-        total -= float(t @ np.log(p) + (1.0 - t) @ np.log(1.0 - p))
-        n += 1
-    if n == 0:
+    pairs = list(batch)
+    if not pairs:
         raise ValidationError("central loss needs a nonempty batch")
-    return total / n
+    codes = [b for b, _ in pairs]
+    centers = [h.bits if isinstance(h, BinaryCode) else h for _, h in pairs]
+    lengths = _lengths(codes, "relaxed code") | _lengths(centers, "center")
+    if len(lengths) > 1:
+        raise DimensionMismatchError(f"batch mixes code lengths {sorted(lengths)}")
+    b = _relaxed(codes).reshape(len(pairs), -1)
+    h = _pm1_array(centers, 2, "center")
+    p = np.clip((1.0 + b) / 2.0, cfg.epsilon, 1.0 - cfg.epsilon)
+    return -float(np.log(np.where(h > 0, p, 1.0 - p)).sum()) / len(pairs)
 
 
 def quantization_loss(batch) -> float:
-    """Sum over the batch of sum_j (|b_j| - 1)^2; zero iff every entry is +-1."""
-    total = 0.0
-    for relaxed in batch:
-        b = _relaxed(relaxed)
-        gap = np.abs(b) - 1.0
-        total += float(gap @ gap)
-    return total
+    """Sum over the batch of sum_j (|b_j| - 1)^2; zero iff every entry is +-1.
+
+    Rows may differ in length, and an empty batch gives 0.
+    """
+    rows = list(batch)
+    if not rows:
+        return 0.0
+    _lengths(rows, "relaxed code")
+    gap = np.abs(_relaxed(rows)) - 1.0
+    return float(gap @ gap)
 
 
 def total_loss(batch, cfg: LossConfig = _DEFAULT) -> float:

@@ -79,6 +79,19 @@ class TestGvBound:
         assert main(["gvbound", "--bits", "16", "--classes", "100", "--bogus"]) == 1
         assert "usage" in capsys.readouterr().err
 
+    def test_largest_code_length(self, capsys):
+        assert main(["gvbound", "--bits", "65535", "--classes", "3"]) == 0
+        assert capsys.readouterr().out == "32713\n"
+
+    @pytest.mark.parametrize("command", [["gvbound", "--classes", "3"],
+                                         ["centers", "--sim", "missing.txt", "--out", "c.shc"]],
+                             ids=["gvbound", "centers"])
+    @pytest.mark.parametrize("bits", ["65536", "4294967295", "0", "-1", "x"])
+    def test_bits_out_of_range_is_a_usage_error(self, command, bits, capsys):
+        # the bound's cost grows about q^2, so a huge --bits would run for minutes
+        assert main([*command, "--bits", bits]) == 1
+        assert_usage_error(capsys.readouterr().err, "argument --bits: ")
+
 
 class TestSimMatrix:
     def test_from_logits(self, tmp_path, capsys):

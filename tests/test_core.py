@@ -247,16 +247,6 @@ class TestCodesIO:
         assert back == db
         assert back.record(0) == (3, code(1, -1, 1))
 
-    def test_label_out_of_range_with_declared_classes(self):
-        db = CodeDatabase([3, 0], np.array([[1, -1], [-1, 1]], dtype=np.int8))
-        buf = io.BytesIO()
-        write_codes(db, buf)
-        buf.seek(0)
-        with pytest.raises(ValidationError):
-            read_codes(buf, classes=3)
-        buf.seek(0)
-        assert read_codes(buf, classes=4) == db
-
     @given(st.integers(0, 20), st.integers(1, 33), st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_round_trip_property(self, N, q, seed):
@@ -331,10 +321,6 @@ class TestCenterSetAndDatabase:
         assert cs.C == 2 and cs.q == 2
         assert cs[0] == code(1, -1)
         assert list(cs) == [code(1, -1), code(-1, -1)]
-
-    def test_from_codes_length_check(self):
-        with pytest.raises(DimensionMismatchError):
-            CenterSet.from_codes([code(1, 1), code(1, 1, 1)])
 
     def test_code_check_holds_two_bool_masks_at_most(self):
         # np.isin held about 12 bytes per entry here; the check needs two bool masks

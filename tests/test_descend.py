@@ -341,16 +341,10 @@ class TestCenterStageMemory:
     C, q = 400, 64
     CC = C * C * 8
 
-    def test_descend_holds_r_the_loss_buffer_and_an_int16_gram(self):
-        S, d, init = cosine_fixture(self.C, self.q)
-        # R, the loss buffer and G are 2.25; the O(Cq) rest is H, its int16 transpose
-        # and the screen's products P = R @ H and T @ H, six C x q float64 arrays at most
-        bound = 2.6 * self.CC + 6 * self.C * self.q * 8
-        assert traced_peak(lambda: descend(S, init, d)) <= bound
-
     def test_descend_keeps_no_residual_matrix(self):
         S, d, init = cosine_fixture(self.C, self.q)
-        # one C x C float64 buffer and G (1.25) beside S, which is made before the trace
+        # one C x C float64 buffer and G (1.25) beside S, which is made before the trace; the
+        # O(Cq) rest is H, its int16 transpose and the screen's products, six C x q float64 at most
         bound = 1.3 * self.CC + 6 * self.C * self.q * 8
         assert traced_peak(lambda: descend(S, init, d)) <= bound
 
