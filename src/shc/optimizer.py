@@ -49,6 +49,9 @@ INIT_HADAMARD = "hadamard"
 _CANDIDATES_PER_SLOT = 200
 # Candidates ranked at a time against the accepted centers.
 _RANK_BLOCK = 16
+# Bytes that a pass over C x C entries (the Gram, distance and loss passes and the
+# descent's screen) works on at a time, in row blocks or flat segments.
+_BLOCK_BYTES = 1 << 18
 
 
 def _similarity(S, C: int | None = None) -> SimilarityMatrix:
@@ -62,18 +65,27 @@ def _similarity(S, C: int | None = None) -> SimilarityMatrix:
     return sim
 
 
+def _row_blocks(rows: int, row_bytes: int) -> list[slice]:
+    """Slices of consecutive rows, each at most _BLOCK_BYTES at ``row_bytes`` a row (one row at least)."""
+    step = max(1, _BLOCK_BYTES // max(1, row_bytes))
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
+
+
 def _gram(rows) -> np.ndarray:
     """The Gram matrix G = rows rows^T of C {-1,+1} rows of length q, from the Hamming kernel.
 
     G = q - 2 dist holds exact integers in the smallest signed dtype that
-    holds +-q, no narrower than int16 (int16 up to q = 32767).
+    holds +-q, no narrower than int16 (int16 up to q = 32767).  The kernel
+    XORs one row block at a time into uint64, so G is the one C x C array.
     """
     rows = np.asarray(rows)
-    q = rows.shape[1]
+    C, q = rows.shape
     words = _pack_words(rows)
-    dist = _hamming(words, words, q)
-    G = np.subtract(q, dist, dtype=np.promote_types(np.int16, np.min_scalar_type(-q - 1)))
-    G -= dist  # q - dist lies in [0, q] and q - 2 dist in [-q, q], so neither step overflows
+    G = np.empty((C, C), dtype=np.promote_types(np.int16, np.min_scalar_type(-q - 1)))
+    for block in _row_blocks(C, C * 8):
+        dist = _hamming(words[block], words, q)
+        np.subtract(q, dist, out=G[block], dtype=G.dtype)
+        G[block] -= dist  # q - dist lies in [0, q] and q - 2 dist in [-q, q], so neither step overflows
     return G
 
 
@@ -83,10 +95,28 @@ def _residual(Sv, G, q: int, out=None) -> np.ndarray:
     return np.subtract(Sv, out, out=out)
 
 
-def _s_loss(Sv, G, q: int, out=None) -> float:
-    """The similarity loss ||S - G/q||_F^2, squared in place where :func:`_residual` put it."""
-    r = _residual(Sv, G, q, out)
-    return float(np.multiply(r, r, out=r).sum())
+def _s_loss(Sv, G, q: int) -> float:
+    """The similarity loss ||S - G/q||_F^2, bit for bit numpy's sum of the whole squared residual.
+
+    numpy sums a contiguous float64 array along a pairwise tree: n > 128
+    entries split at n // 2 rounded down to a multiple of 8, and each part
+    is summed alike.  Each node of that tree that fits _BLOCK_BYTES is a flat
+    segment here, formed by :func:`_residual`, squared and summed by numpy,
+    and the segment sums are added in the tree's order, so no C x C float64
+    array is formed.
+    """
+    Sv, G = np.ravel(Sv), np.ravel(G)
+    return _tree_s_loss(Sv, G, q, np.empty(min(Sv.size, _BLOCK_BYTES // 8)))
+
+
+def _tree_s_loss(Sv, G, q: int, buf: np.ndarray) -> float:
+    """:func:`_s_loss` of flat S and G along numpy's pairwise tree, in segments of buf's size."""
+    n = Sv.size
+    if n <= buf.size:
+        r = _residual(Sv, G, q, out=buf[:n])
+        return float(np.multiply(r, r, out=r).sum())
+    half = n // 2 - n // 2 % 8
+    return _tree_s_loss(Sv[:half], G[:half], q, buf) + _tree_s_loss(Sv[half:], G[half:], q, buf)
 
 
 def _d_min(G: np.ndarray, q: int) -> int | None:
@@ -94,7 +124,11 @@ def _d_min(G: np.ndarray, q: int) -> int | None:
 
     G_ii = q is the row maximum, so a row's largest off-diagonal entry is its second largest.
     """
-    return None if len(G) == 1 else (q - int(np.partition(G, -2, axis=1)[:, -2].max())) // 2
+    if len(G) == 1:
+        return None
+    top = max(int(np.partition(G[block], -2, axis=1)[:, -2].max())
+              for block in _row_blocks(len(G), G[0].nbytes))
+    return (q - top) // 2
 
 
 def _close_pairs(G: np.ndarray, q: int, d: int) -> int:
@@ -102,7 +136,8 @@ def _close_pairs(G: np.ndarray, q: int, d: int) -> int:
 
     For d >= 1 the diagonal G_ii = q counts too and is taken off; for d <= 0 nothing counts.
     """
-    return max(0, int(np.count_nonzero(G > q - 2 * d)) - len(G)) // 2
+    close = sum(int(np.count_nonzero(G[block] > q - 2 * d)) for block in _row_blocks(len(G), len(G)))
+    return max(0, close - len(G)) // 2
 
 
 def init_centers(q: int, C: int, d: int, seed: int, method: str = INIT_GREEDY) -> CenterSet:
@@ -232,10 +267,12 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
     the tight-pair mask, an OR of packed bit words, is built only when the
     best flip of the unmasked gains would lower s_loss, and a flip rewrites
     row and column i of G in O(C).  :func:`_residual` forms S - G/q, the
-    row r per visit and the whole matrix once per sweep, for its s_loss.
-    After a sweep that flipped fewer than C/4 bits, a sweep first bounds
-    every center's masked gains from one product R @ H (R = S - G/q) and
-    skips the visits that bound proves flip nothing.
+    row r per visit, and once per sweep :func:`_s_loss` forms it a segment
+    at a time for its s_loss.  After a sweep that flipped fewer than C/4
+    bits, a sweep first bounds every center's masked gains from P = R @ H
+    (R = S - G/q), taken as S @ H - (G @ H)/q with G @ H in exact integers,
+    and skips the visits that bound proves flip nothing.  Beside S, a
+    descent holds G, a few C x q arrays and row blocks of _BLOCK_BYTES.
     """
     Sv = _similarity(S, centers.C).values
     C, q = centers.C, centers.q
@@ -247,11 +284,10 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
     tight_above = q - 2 * d - 2
     # far above the rounding error of r @ H (|S| <= 1), so each applied flip really lowers s_loss
     lowers = -(C - 1) / q - 1e-9 * C
-    # R = S - G/q is not kept: _residual forms row i of it per visit, and all of it in buf
-    # (the one C x C float64 array beside S) per sweep, always by one divide then subtract,
-    # so every entry has one value, exactly symmetric as S and G are.  Its diagonal is
-    # S_ii - G_ii/q = 1 - q/q, exactly 0.0, and a flip leaves G_ii alone.
-    buf = np.empty((C, C))
+    # R = S - G/q is not kept: _residual forms row i of it per visit, and _s_loss a segment
+    # at a time per sweep, always by one divide then subtract, so every entry has one value,
+    # exactly symmetric as S and G are.  Its diagonal is S_ii - G_ii/q = 1 - q/q, exactly
+    # 0.0, and a flip leaves G_ii alone.
     # bit k of words[i] is set where h_ik = +1, so words[j] ^ words[i] has the bits where j and i differ
     words = [int.from_bytes(packed.tobytes(), "little")
              for packed in np.packbits(H > 0, axis=1, bitorder="little")]
@@ -266,20 +302,20 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
     # The flip can open a bit of j's mask only if i was tight with j before it (a pair
     # that becomes tight only blocks more bits), so those floors drop to -inf.  Hence
     # floor_j >= bar proves that the visit to j flips nothing, once tol covers the
-    # rounding: the gemm and the gemv are each within about C^2 eps of the exact
-    # products (C terms of |R| <= 2), and each of the at most C flips adds at most
-    # (2C + 6) eps (the column update, the rounded R_ji and the sum in bar), so
-    # 64 C^2 eps covers it all.
+    # rounding.  P is taken as S @ H - (G @ H) / q: the gemm S @ H is within C^2 eps / 2
+    # of exact (C terms of |S| <= 1), G @ H holds exact integers of at most Cq, and its
+    # divide by q and the subtraction add at most 1.5 C eps.  A visit's gemv r @ H is
+    # within C^2 eps of exact (C terms of |r| <= 2), and the rounded r adds at most
+    # 1.5 C eps (1.5 eps per entry from its divide and subtract).  Each of the at most C
+    # flips adds at most (2C + 6) eps (the column update, the rounded R_ji and the sum in
+    # bar).  That is under (4 C^2 + 9 C) eps, so 64 C^2 eps covers it all.
     tol = 64 * C * C * np.finfo(np.float64).eps
     trace = []
     flips = C  # the first sweep is not screened
     while flips:
-        floor = None
+        P = floor = None  # the last screen's, freed before the next is formed
         if flips < C / 4:
-            T = np.greater(G, tight_above, out=buf)  # 1.0 where tight, exact
-            blocked = (T @ H) * H < T.sum(axis=1)[:, None]  # exact small integers
-            P = _residual(Sv, G, q, out=buf) @ H
-            floor = np.where(blocked, np.inf, P * H).min(axis=1)
+            P, floor = _screen(Sv, H, G, q, tight_above)
             bar = lowers + tol
             certified = 0
         flips = 0
@@ -307,9 +343,8 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
                     continue
             h = H[i, k]
             if floor is not None:
-                column = P[:, k]
-                column -= (2.0 * h) * row  # R[:, i] before the flip
-                np.minimum(floor, column * HT[k], out=floor)
+                P[:, k] -= (2.0 * h) * row  # R[:, i] before the flip
+                np.minimum(floor, P[:, k] * HT[k], out=floor)
                 floor[tight] = -np.inf
                 bar += 2 / q
             np.multiply(HT[k], -2 * int(h), out=step)
@@ -319,7 +354,7 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
             H[i, k] = HT[k, i] = -h
             words[i] ^= 1 << k
             flips += 1
-        s_loss = _s_loss(Sv, G, q, out=buf)
+        s_loss = _s_loss(Sv, G, q)
         trace.append(s_loss)
         if floor is not None:
             log.debug("descend: sweep %d screened, %d of %d visits certified", len(trace), certified, C)
@@ -329,6 +364,43 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
                 len(trace), flips, s_loss, _d_min(G, q), _close_pairs(G, q, d),
             )
     return CenterSet(H.astype(np.int8)), trace
+
+
+def _screen(Sv, H, G, q: int, tight_above: int) -> tuple[np.ndarray, np.ndarray]:
+    """P = R @ H (R = S - G/q) and floor_i, the least P_ik h_ik over the bits k open to center i.
+
+    P is taken as S @ H - (G @ H) / q, with G @ H in exact integers from :func:`_gram_times`,
+    so no C x C float64 array is formed.  Bit k of i is blocked when a tight j
+    (G_ij > tight_above) has h_jk != h_ik, counted exactly from T @ H over row blocks of
+    T = (G > tight_above).
+    """
+    C = len(G)
+    P = Sv @ H
+    GH = _gram_times(G, H)
+    P -= np.divide(GH, q, out=GH)
+    del GH
+    floor = np.empty(C)
+    blocks = _row_blocks(C, C * 8)
+    buf = np.empty((blocks[0].stop, C))
+    for block in blocks:
+        T = np.greater(G[block], tight_above, out=buf[:block.stop - block.start])  # 1.0 where tight
+        blocked = (T @ H) * H[block] < T.sum(axis=1)[:, None]  # exact small integers
+        floor[block] = np.where(blocked, np.inf, P[block] * H[block]).min(axis=1)
+    return P, floor
+
+
+def _gram_times(G, H) -> np.ndarray:
+    """G @ H = H (H^T H) for G = H H^T, exact in float64 (every partial sum is an integer of at most Cq).
+
+    H (H^T H) costs C q^2 and holds a q x q array, so it is taken while that array fits
+    _BLOCK_BYTES (q <= 181); at larger q, G is cast to float64 one row block at a time.
+    """
+    if H.shape[1] ** 2 * 8 <= _BLOCK_BYTES:
+        return H @ (H.T @ H)
+    GH = np.empty_like(H)
+    for block in _row_blocks(len(G), len(G) * 8):
+        np.matmul(G[block].astype(np.float64), H, out=GH[block])
+    return GH
 
 
 def quality_metrics(centers: CenterSet, S) -> tuple[int | None, float]:

@@ -1,4 +1,5 @@
 import logging
+import math
 import tracemalloc
 from itertools import product
 
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 from shc.core import CenterSet, DimensionMismatchError, ValidationError
 from shc.gv import compute_min_distance
 from shc.optimizer import (
+    _BLOCK_BYTES,
     INIT_HADAMARD,
     _close_pairs,
     _d_min,
     _gram,
+    _gram_times,
     _s_loss,
     _similarity,
     descend,
@@ -251,13 +254,14 @@ def oracle_cases():
     S, _, _ = cosine_fixture(300, 64)
     yield "cosine-300x64-d1", S, 1, init_centers(64, 300, 1, seed=0)  # no tight pairs
     yield "cosine-150x128", *cosine_fixture(150, 128)  # two 64-bit words per center
+    yield "cosine-100x256", *cosine_fixture(100, 256, seed=5)  # the screen's G @ H from row blocks of G
     S, d, _ = cosine_fixture(100, 64)
     yield "hadamard-100x64", S, d, init_centers(64, 100, d, seed=0, method=INIT_HADAMARD)
 
 
 ORACLE_CASES = list(oracle_cases())
 SCREENED_CASES = {"cosine-600x64", "identity-200x64", "blocks-200x64", "cosine-300x64-d1",
-                  "cosine-150x128", "hadamard-100x64"}
+                  "cosine-150x128", "cosine-100x256", "hadamard-100x64"}
 
 
 def screened_sweeps(records):
@@ -289,7 +293,13 @@ def test_descend_matches_reference(name, S, d, init, caplog):
     assert quiet_trace == ref_trace
 
 
-@pytest.mark.parametrize("C", [1, 2, 37, 600])
+# The largest C whose C x C float64 residual fits one segment of _s_loss's budget.
+ONE_SEGMENT_C = math.isqrt(_BLOCK_BYTES // 8)
+
+
+# C^2 just below, just above and 11 and 16 times over the loss's segment budget, so the
+# segment sums are checked against numpy's whole-array sum at several tree depths.
+@pytest.mark.parametrize("C", [1, 2, 37, ONE_SEGMENT_C, ONE_SEGMENT_C + 1, 600, 4 * ONE_SEGMENT_C])
 @pytest.mark.parametrize("dtype", [np.int16, np.int64, np.float64])
 @pytest.mark.parametrize("with_s", [False, True])
 def test_stats_of_gram_matches_reference(C, dtype, with_s):
@@ -326,6 +336,14 @@ def test_gram_is_the_integer_product(C, q):
     assert np.array_equal(G, rows.astype(np.int64) @ rows.T)
 
 
+# q on both sides of the largest q whose q x q float64 H^T H fits _BLOCK_BYTES
+@pytest.mark.parametrize("C, q", [(1, 8), (300, 64), (40, 181), (40, 182), (150, 300)])
+def test_gram_times_is_the_exact_integer_product(C, q):
+    rows = np.random.default_rng(q).choice(np.array([-1, 1], dtype=np.int8), size=(C, q))
+    GH = _gram_times(_gram(rows), rows.astype(np.float64))
+    assert np.array_equal(GH, (rows.astype(np.int64) @ rows.T) @ rows)
+
+
 def traced_peak(f):
     tracemalloc.start()
     try:
@@ -341,17 +359,37 @@ class TestCenterStageMemory:
     C, q = 400, 64
     CC = C * C * 8
 
+    # Beside S, which is made before the trace, descend holds the int16 G (0.25), H, the
+    # screen's P and H's int16 transpose (0.36 at q = 64) and one row block of at most
+    # _BLOCK_BYTES (0.20 here) with its products: 0.91 measured, so 1.0 leaves 10%.
+    DESCEND_BOUND = 1.0
+
     def test_descend_keeps_no_residual_matrix(self):
         S, d, init = cosine_fixture(self.C, self.q)
-        # one C x C float64 buffer and G (1.25) beside S, which is made before the trace; the
-        # O(Cq) rest is H, its int16 transpose and the screen's products, six C x q float64 at most
-        bound = 1.3 * self.CC + 6 * self.C * self.q * 8
-        assert traced_peak(lambda: descend(S, init, d)) <= bound
+        assert traced_peak(lambda: descend(S, init, d)) <= self.DESCEND_BOUND * self.CC
+
+    def test_descend_info_lines_read_g_in_row_blocks(self, caplog):
+        # each sweep's INFO line reads d_min and the close pairs from G a row block at a time
+        S, d, init = cosine_fixture(self.C, self.q)
+        with caplog.at_level(logging.INFO, logger="shc.optimizer"):
+            peak = traced_peak(lambda: descend(S, init, d))
+        assert sweep_violations(caplog.records)
+        assert peak <= self.DESCEND_BOUND * self.CC
 
     def test_quality_metrics_and_violation_count(self):
         S, d, init = cosine_fixture(self.C, self.q)
+        # G (0.25) and one row block of the Hamming kernel's uint64 XOR (0.20) with its
+        # popcounts: 0.58 measured
         peak = traced_peak(lambda: (quality_metrics(init, S), violation_count(init, d)))
-        assert peak <= 1.7 * self.CC
+        assert peak <= 0.65 * self.CC
+
+    def test_hadamard_init_counts_close_pairs_in_row_blocks(self):
+        _, d, _ = cosine_fixture(self.C, self.q)
+        # C = 400 takes q = 256 (at most 2q classes): G, a row block of the XOR over four
+        # words with its uint16 distances, and the q x q rows with their complements:
+        # 0.82 measured
+        peak = traced_peak(lambda: init_centers(256, self.C, d, seed=0, method=INIT_HADAMARD))
+        assert peak <= 0.9 * self.CC
 
     def test_greedy_init_forms_no_all_pairs_gram(self):
         _, d, _ = cosine_fixture(self.C, self.q)
@@ -360,8 +398,22 @@ class TestCenterStageMemory:
 
     def test_quality_metrics_reads_its_statistics_from_g(self):
         S, _, init = cosine_fixture(self.C, self.q)
-        # the Hamming kernel's uint64 XOR, then the loss's float64 residual beside the int16 G
-        assert traced_peak(lambda: quality_metrics(init, S)) <= 1.4 * self.CC
+        # the int16 G beside S; the Gram, distance and loss passes work in blocks
+        assert traced_peak(lambda: quality_metrics(init, S)) <= 0.65 * self.CC
+
+
+def test_gram_statistics_work_in_row_blocks():
+    # at C = 1000 one C x C pass would hold 1 MB (bool) to 8 MB (float64 or uint64)
+    C, q = 1000, 64
+    rows = np.random.default_rng(0).choice(np.array([-1, 1], dtype=np.int8), size=(C, q))
+    Sv = np.random.default_rng(1).uniform(-1, 1, (C, C))
+    G = _gram(rows)
+    # the float64 segment and its int16 -> float64 cast buffer; a partition copy or a bool
+    # row block of G; or beside G, a uint64 XOR row block with its popcounts and packed rows
+    assert traced_peak(lambda: _s_loss(Sv, G, q)) <= 1.3 * _BLOCK_BYTES
+    assert traced_peak(lambda: _d_min(G, q)) <= 1.1 * _BLOCK_BYTES
+    assert traced_peak(lambda: _close_pairs(G, q, 20)) <= 1.1 * _BLOCK_BYTES
+    assert traced_peak(lambda: _gram(rows)) <= G.nbytes + 1.8 * _BLOCK_BYTES
 
 
 def test_screen_runs_after_quiet_sweeps_and_skips_visits(caplog):
