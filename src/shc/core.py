@@ -311,6 +311,16 @@ def _pack_words(rows) -> np.ndarray:
     return packed.view(np.uint64)
 
 
+def _unpack_words(words, q: int) -> np.ndarray:
+    """The q bits of each row packed by :func:`_pack_words` or :func:`pack_code_rows`, as (..., q) bools."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=q).view(bool)
+
+
+def _flip_bit(words, i: int, k: int) -> None:
+    """Flip bit k of row i of words packed by :func:`_pack_words`, in place."""
+    words.view(np.uint8)[i, k // 8] ^= 0x80 >> k % 8
+
+
 def _hamming(a, b, q: int) -> np.ndarray:
     """Exact Hamming distances between rows packed by :func:`_pack_words`.
 
@@ -344,8 +354,7 @@ def pack_code_rows(matrix) -> np.ndarray:
 
 def unpack_code_rows(packed, q: int) -> np.ndarray:
     """Inverse of :func:`pack_code_rows`; returns int8 rows of {-1,+1}."""
-    bits = np.unpackbits(np.asarray(packed, dtype=np.uint8), axis=1)[:, :q]
-    return (bits.astype(np.int8) * 2) - 1
+    return (_unpack_words(np.asarray(packed, dtype=np.uint8), q).astype(np.int8) * 2) - 1
 
 
 @contextmanager

@@ -27,8 +27,10 @@ from .core import (
     ShcError,
     SimilarityMatrix,
     ValidationError,
+    _flip_bit,
     _hamming,
     _pack_words,
+    _unpack_words,
 )
 
 __all__ = [
@@ -167,7 +169,7 @@ def init_centers(q: int, C: int, d: int, seed: int, method: str = INIT_GREEDY) -
 
     rng = np.random.default_rng(seed)
     rows = np.empty((C, q), dtype=np.int8)
-    words = np.empty((C, (q + 63) // 64), dtype=np.uint64)  # rows[:filled], packed
+    words = _pack_words(rows)  # rows[:filled], packed: a row is packed once it is placed
     filled = bad = 0
     while filled < C:
         cand = (rng.integers(0, 2, size=(_CANDIDATES_PER_SLOT, q), dtype=np.int8) * 2) - 1
@@ -288,9 +290,7 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
     # at a time per sweep, always by one divide then subtract, so every entry has one value,
     # exactly symmetric as S and G are.  Its diagonal is S_ii - G_ii/q = 1 - q/q, exactly
     # 0.0, and a flip leaves G_ii alone.
-    # bit k of words[i] is set where h_ik = +1, so words[j] ^ words[i] has the bits where j and i differ
-    words = [int.from_bytes(packed.tobytes(), "little")
-             for packed in np.packbits(H > 0, axis=1, bitorder="little")]
+    words = _pack_words(centers.matrix)
     gain, step, row = np.empty(q), np.empty(C, dtype=G.dtype), np.empty(C)
     # The screen.  A visit to i flips nothing if every gain h_ik (R[i] @ H)_k of a bit k
     # that the mask leaves open is >= lowers: the unmasked best is then either >= lowers
@@ -315,7 +315,7 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
     while flips:
         P = floor = None  # the last screen's, freed before the next is formed
         if flips < C / 4:
-            P, floor = _screen(Sv, H, G, q, tight_above)
+            P, floor = _screen(Sv, H, G, words, q, tight_above)
             bar = lowers + tol
             certified = 0
         flips = 0
@@ -329,18 +329,16 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
             k = int(gain.argmin())
             if not gain[k] < lowers:
                 continue
-            # The mask only raises entries to inf, so it matters only when it blocks
-            # the unmasked best bit; argmin keeps the first minimum either way.
+            # The mask only raises entries to inf, so it matters only when it blocks the unmasked
+            # best bit (argmin keeps the first minimum either way) and i is not its only tight center.
             tight = (G[i] > tight_above).nonzero()[0]
-            mask, own = 0, words[i]
-            for j in tight.tolist():
-                mask |= words[j] ^ own
-            if mask >> k & 1:
-                bits = np.frombuffer(mask.to_bytes((q + 7) // 8, "little"), dtype=np.uint8)
-                gain[np.unpackbits(bits, count=q, bitorder="little").view(bool)] = np.inf
-                k = int(gain.argmin())
-                if not gain[k] < lowers:
-                    continue
+            if tight.size > 1:
+                blocked = _unpack_words(np.bitwise_or.reduce(words.take(tight, axis=0) ^ words[i]), q)
+                if blocked[k]:
+                    gain[blocked] = np.inf
+                    k = int(gain.argmin())
+                    if not gain[k] < lowers:
+                        continue
             h = H[i, k]
             if floor is not None:
                 P[:, k] -= (2.0 * h) * row  # R[:, i] before the flip
@@ -352,7 +350,7 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
             G[i] += step
             G[:, i] = G[i]
             H[i, k] = HT[k, i] = -h
-            words[i] ^= 1 << k
+            _flip_bit(words, i, k)
             flips += 1
         s_loss = _s_loss(Sv, G, q)
         trace.append(s_loss)
@@ -366,13 +364,11 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
     return CenterSet(H.astype(np.int8)), trace
 
 
-def _screen(Sv, H, G, q: int, tight_above: int) -> tuple[np.ndarray, np.ndarray]:
+def _screen(Sv, H, G, words, q: int, tight_above: int) -> tuple[np.ndarray, np.ndarray]:
     """P = R @ H (R = S - G/q) and floor_i, the least P_ik h_ik over the bits k open to center i.
 
-    P is taken as S @ H - (G @ H) / q, with G @ H in exact integers from :func:`_gram_times`,
-    so no C x C float64 array is formed.  Bit k of i is blocked when a tight j
-    (G_ij > tight_above) has h_jk != h_ik, counted exactly from T @ H over row blocks of
-    T = (G > tight_above).
+    P is S @ H - (G @ H) / q, with G @ H in exact integers from :func:`_gram_times`.  As in a visit,
+    bit k of i is blocked where the OR of words[j] ^ words[i] over tight j (j = i among them) is set.
     """
     C = len(G)
     P = Sv @ H
@@ -380,11 +376,10 @@ def _screen(Sv, H, G, q: int, tight_above: int) -> tuple[np.ndarray, np.ndarray]
     P -= np.divide(GH, q, out=GH)
     del GH
     floor = np.empty(C)
-    blocks = _row_blocks(C, C * 8)
-    buf = np.empty((blocks[0].stop, C))
-    for block in blocks:
-        T = np.greater(G[block], tight_above, out=buf[:block.stop - block.start])  # 1.0 where tight
-        blocked = (T @ H) * H[block] < T.sum(axis=1)[:, None]  # exact small integers
+    for block in _row_blocks(C, words.nbytes):  # a row gathers the words of at most C tight pairs
+        rows, cols = np.divmod(np.flatnonzero(G[block] > tight_above), C)
+        starts = np.searchsorted(rows, np.arange(block.stop - block.start))
+        blocked = _unpack_words(np.bitwise_or.reduceat(words[cols] ^ words[rows + block.start], starts), q)
         floor[block] = np.where(blocked, np.inf, P[block] * H[block]).min(axis=1)
     return P, floor
 

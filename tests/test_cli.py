@@ -463,6 +463,21 @@ class TestEntryPoint:
                     found.append(f"{path.name}:{node.lineno}")
         assert found == [] and in_kernel > 0
 
+    def test_only_core_packs_bits(self):
+        # one bit layout, core's packed words: no other module packs, unpacks or
+        # converts bits through int.from_bytes / .to_bytes
+        package = Path(shc.__file__).parent
+        packing = {"packbits", "unpackbits", "from_bytes", "to_bytes"}
+        found = []
+        for path in sorted(package.glob("*.py")):
+            if path.name == "core.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                name = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
+                if name in packing:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+        assert found == []
+
     def test_optimizer_takes_no_gram_from_a_matrix_product(self):
         # stage 2 gets its Grams from core._hamming: no X @ X.T, a matrix times its own transpose
         def own_transpose(left, right):

@@ -23,7 +23,7 @@ from shc.core import (
     write_centers,
     write_codes,
 )
-from shc.core import _hamming, _pack_words
+from shc.core import _flip_bit, _hamming, _pack_words, _unpack_words
 from shc.evaluation import evaluate, rank_database
 from shc.optimizer import descend, init_centers, quality_metrics, violation_count
 from shc.similarity import cosine_similarity_matrix
@@ -153,6 +153,17 @@ class TestPackedHammingKernel:
         raw = words.view(np.uint8)
         assert np.array_equal(raw[:, : (q + 7) // 8], pack_code_rows(rows))
         assert not raw[:, (q + 7) // 8 :].any()
+
+    @pytest.mark.parametrize("q", [1, 9, 64, 65, 130])
+    def test_unpack_and_flip_address_the_packed_bits(self, q):
+        rows = (np.random.default_rng(q).integers(0, 2, (3, q)) * 2 - 1).astype(np.int8)
+        words = _pack_words(rows)
+        assert np.array_equal(_unpack_words(words, q), rows > 0)
+        assert np.array_equal(_unpack_words(words[1], q), rows[1] > 0)
+        for k in sorted({0, q // 2, q - 1}):
+            _flip_bit(words, 2, k)
+            rows[2, k] = -rows[2, k]
+            assert np.array_equal(words, _pack_words(rows))
 
     @pytest.mark.parametrize("q", [1, 7, 63, 64, 65, 128, 300])
     def test_words_match_always_padded_packing(self, q):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shc.core import CenterSet, DimensionMismatchError, ValidationError
+from shc.core import CenterSet, DimensionMismatchError, ValidationError, _pack_words
 from shc.gv import compute_min_distance
 from shc.optimizer import (
     _BLOCK_BYTES,
@@ -18,6 +18,7 @@ from shc.optimizer import (
     _gram,
     _gram_times,
     _s_loss,
+    _screen,
     _similarity,
     descend,
     init_centers,
@@ -354,7 +355,7 @@ def traced_peak(f):
 
 
 class TestCenterStageMemory:
-    """Traced peaks at C = 400, q = 64 in C x C float64 arrays; S is made before the trace."""
+    """Traced peaks at C = 400 (q = 64 unless named) in C x C float64 arrays; S is made before the trace."""
 
     C, q = 400, 64
     CC = C * C * 8
@@ -367,6 +368,12 @@ class TestCenterStageMemory:
     def test_descend_keeps_no_residual_matrix(self):
         S, d, init = cosine_fixture(self.C, self.q)
         assert traced_peak(lambda: descend(S, init, d)) <= self.DESCEND_BOUND * self.CC
+
+    def test_descend_at_four_words_per_row(self):
+        # at q = 256 H, P and G @ H are 0.64 each, and a tight pair in the screen holds four
+        # words: 2.55 measured; 2.8 is the float T @ H count's 2.56 plus 10%
+        S, d, init = cosine_fixture(self.C, 256)
+        assert traced_peak(lambda: descend(S, init, d)) <= 2.8 * self.CC
 
     def test_descend_info_lines_read_g_in_row_blocks(self, caplog):
         # each sweep's INFO line reads d_min and the close pairs from G a row block at a time
@@ -429,6 +436,30 @@ def test_screen_runs_after_quiet_sweeps_and_skips_visits(caplog):
     assert set(certified) == {n + 1 for n in range(1, len(trace)) if flipped[n - 1] < 600 / 4}
     assert all(0 <= c <= 600 for c in certified.values())
     assert sum(certified.values()) > 0
+
+
+# one word (one byte, then a whole word), two, three and four words per row
+@pytest.mark.parametrize("q", [8, 64, 65, 130, 256])
+def test_screen_blocks_what_a_visit_blocks(q):
+    """Bit k of i is blocked iff some tight j (G_ij > q - 2d - 2) has h_jk != h_ik; the
+    screen's floor is the least P_ik h_ik over the bits that rule leaves open."""
+    C = 300  # several of the screen's row blocks (three at one word a row)
+    rng = np.random.default_rng(q)
+    rows = rng.choice(np.array([-1, 1], dtype=np.int8), size=(C, q))
+    # d at the 2C-th least distance of an ordered pair, so a row has about two tight neighbours
+    d = max(1, int(np.sort((q - _gram(rows)[~np.eye(C, dtype=bool)]) // 2)[2 * C]))
+    for j in (1, 2, 3):  # rows 1-3 lie within d of row 0: several tight neighbours
+        rows[j] = rows[0]
+        rows[j, rng.choice(q, size=min(j, d), replace=False)] *= -1
+    G, H = _gram(rows), rows.astype(np.float64)
+    tight_above = q - 2 * d - 2
+    S = cosine_similarity_matrix(rng.normal(size=(C, 8))).values
+    P, floor = _screen(S, H, G, _pack_words(rows), q, tight_above)
+    tight = G > tight_above
+    assert np.count_nonzero(tight[0]) >= 4
+    blocked = np.array([(rows[tight[i]] != rows[i]).any(axis=0) for i in range(C)])
+    assert blocked.any() and not blocked.all()
+    assert np.array_equal(floor, np.where(blocked, np.inf, P * H).min(axis=1))
 
 
 @settings(max_examples=80, deadline=None)
