@@ -20,14 +20,12 @@ from .core import (
     ShcError,
     SimilarityMatrix,
     ValidationError,
-    hamming_distance,
-    inner_product,
     read_centers,
     read_codes,
     write_centers,
     write_codes,
 )
-from .evaluation import DEFAULT_PR_GRID, EvalReport, average_precision, evaluate, rank_database
+from .evaluation import DEFAULT_PR_GRID, EvalReport, evaluate
 from .gv import compute_min_distance
 from .losses import LossConfig, central_loss, quantization_loss, total_loss
 from .optimizer import descend, init_centers, quality_metrics
@@ -36,8 +34,6 @@ from .similarity import (
     class_similarity_rows,
     cosine_similarity_matrix,
     masked_softmax,
-    normalize_row,
-    symmetrize_and_unit_diag,
 )
 
 __version__ = "0.1.0"
@@ -54,8 +50,6 @@ __all__ = [
     "DegenerateInputError",
     "MissingClassError",
     "InfeasibleError",
-    "hamming_distance",
-    "inner_product",
     "write_centers",
     "read_centers",
     "write_codes",
@@ -63,8 +57,6 @@ __all__ = [
     "compute_min_distance",
     "masked_softmax",
     "class_similarity_rows",
-    "normalize_row",
-    "symmetrize_and_unit_diag",
     "build_similarity",
     "cosine_similarity_matrix",
     "init_centers",
@@ -76,7 +68,5 @@ __all__ = [
     "total_loss",
     "EvalReport",
     "DEFAULT_PR_GRID",
-    "rank_database",
-    "average_precision",
     "evaluate",
 ]

@@ -24,8 +24,6 @@ __all__ = [
     "CenterSet",
     "SimilarityMatrix",
     "CodeDatabase",
-    "hamming_distance",
-    "inner_product",
     "pack_code_rows",
     "unpack_code_rows",
     "write_centers",
@@ -276,9 +274,6 @@ class CodeDatabase:
     def __len__(self) -> int:
         return int(self.codes.shape[0])
 
-    def record(self, i) -> tuple[int, BinaryCode]:
-        return int(self.labels[i]), BinaryCode(self.codes[i])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CodeDatabase):
             return NotImplemented
@@ -293,11 +288,6 @@ class CodeDatabase:
 
     def __repr__(self) -> str:
         return f"CodeDatabase(N={len(self)}, q={self.q})"
-
-
-def _check_same_length(a: BinaryCode, b: BinaryCode) -> None:
-    if a.q != b.q:
-        raise DimensionMismatchError(f"code lengths differ: {a.q} vs {b.q}")
 
 
 def _pack_words(rows) -> np.ndarray:
@@ -333,18 +323,6 @@ def _hamming(a, b, q: int) -> np.ndarray:
     for w in range(1, a.shape[-1]):
         dist += np.bitwise_count(a[..., w] ^ b[..., w])
     return dist
-
-
-def hamming_distance(a: BinaryCode, b: BinaryCode) -> int:
-    """Number of positions where two equal-length codes differ."""
-    _check_same_length(a, b)
-    return int(_hamming(_pack_words(a.bits), _pack_words(b.bits), a.q))
-
-
-def inner_product(a: BinaryCode, b: BinaryCode) -> int:
-    """Integer inner product of two equal-length codes; in [-q, q]."""
-    _check_same_length(a, b)
-    return int(a.bits.astype(np.int64) @ b.bits)
 
 
 def pack_code_rows(matrix) -> np.ndarray:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    BinaryCode,
     CodeDatabase,
     DimensionMismatchError,
     ValidationError,
@@ -31,8 +30,6 @@ from .core import (
 __all__ = [
     "DEFAULT_PR_GRID",
     "EvalReport",
-    "rank_database",
-    "average_precision",
     "evaluate",
     "worker_count",
 ]
@@ -94,25 +91,6 @@ def worker_count() -> int:
     if value < 1:
         raise ValidationError(f"SHC_THREADS must be a positive integer, got {env!r}")
     return value
-
-
-def rank_database(query: BinaryCode, db: CodeDatabase) -> np.ndarray:
-    """Record indices by ascending Hamming distance, ties by ascending index."""
-    if query.q != db.q:
-        raise DimensionMismatchError(f"query length {query.q} vs database length {db.q}")
-    return np.argsort(_hamming(_pack_words(db.codes), _pack_words(query.bits), db.q), kind="stable")
-
-
-def average_precision(query_label: int, ranked_labels, k: int) -> float:
-    """AP@K of one ranked label list against a query label.
-
-    (1/R_K) * sum_{i<=K} P(i) * rel(i), where R_K is the number of relevant
-    items within the top K; 0.0 when R_K is 0.
-    """
-    if k < 1:
-        raise ValidationError(f"K must be >= 1, got {k}")
-    rel = np.asarray(ranked_labels)[:k] == query_label
-    return float(_hit_stats(np.flatnonzero(rel), 1, rel.size, np.array([k]))[1][0, 0])
 
 
 def _hit_stats(flat, rows, N, cutoffs):

@@ -28,8 +28,6 @@ __all__ = [
     "MASK_ARGMAX",
     "masked_softmax",
     "class_similarity_rows",
-    "normalize_row",
-    "symmetrize_and_unit_diag",
     "build_similarity",
     "stream_similarity",
     "cosine_similarity_matrix",
@@ -151,38 +149,12 @@ def class_similarity_rows(labels, logits, mask: str = MASK_GROUND_TRUTH) -> np.n
     return sums.mean_rows()
 
 
-def normalize_row(row) -> np.ndarray:
-    """Center a row at its mean and scale the largest deviation to magnitude 1."""
-    arr = np.asarray(row, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError(f"row must be a nonempty vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValidationError("row entries must be finite")
-    centered = arr - arr.mean()
-    scale = np.abs(centered).max()
-    if scale == 0.0:
-        raise DegenerateInputError("cannot normalize a constant row")
-    return centered / scale
-
-
-def symmetrize_and_unit_diag(rows) -> SimilarityMatrix:
-    """Average a square matrix with its transpose and force the diagonal to 1."""
-    arr = np.asarray(rows, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValidationError("matrix entries must be finite")
-    if arr.size and np.abs(arr).max() > 1.0:
-        raise ValidationError("matrix entries must lie in [-1, 1]")
-    return SimilarityMatrix._symmetrized(arr)
-
-
 def _similarity_of_rows(rows) -> SimilarityMatrix:
-    """S from the class-mean rows: each row normalized as by ``normalize_row``, then symmetrized.
+    """S from the class-mean rows: each row minus its mean, over its largest deviation, then symmetrized.
 
-    The rows are normalized in place, in one pass.  They are finite class
-    means, so each normalized row lies in [-1, 1] and needs none of the
-    checks of ``symmetrize_and_unit_diag``.
+    The rows are normalized in place, in one pass, and handed to
+    :meth:`SimilarityMatrix._symmetrized`.  They are finite class means, so
+    each normalized row lies in [-1, 1] and needs no further check.
     """
     rows -= rows.mean(axis=1, keepdims=True)
     scale = np.maximum(rows.max(axis=1), -rows.min(axis=1))  # max |row| with no abs temporary

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from shc.cli import main
-from shc.core import BinaryCode, CodeDatabase, SimilarityMatrix, hamming_distance, inner_product
-from shc.evaluation import average_precision, evaluate
+from shc.core import CodeDatabase, SimilarityMatrix, _hamming, _pack_words
+from shc.evaluation import _hit_stats, evaluate
 from shc.gv import compute_min_distance
 from shc.losses import central_loss, quantization_loss
-from shc.optimizer import descend, init_centers, quality_metrics, violation_count
+from shc.optimizer import _gram, descend, init_centers, quality_metrics, violation_count
 from shc.similarity import write_similarity
 
 from alm_reference import (
@@ -89,17 +89,20 @@ def test_criterion_1_gv_bound_exactness():
 
 
 def test_criterion_2_hamming_euclid_identity():
+    # the kernels the CLI runs: packed Hamming distances and the Gram matrix G = q - 2 dist
     start = time.perf_counter()
     checked = 0
     for q in (8, 16, 32, 64):
         rng = np.random.default_rng(q)
         bits = rng.integers(0, 2, (2000, q)) * 2 - 1
-        for k in range(1000):
-            a = BinaryCode(bits[2 * k])
-            b = BinaryCode(bits[2 * k + 1])
-            if 2 * hamming_distance(a, b) != q - inner_product(a, b):
-                _report("criterion 2 (Hamming-Euclid identity)", False, f"q={q} pair {k}")
-            checked += 1
+        a, b = bits[0::2], bits[1::2]
+        dist = _hamming(_pack_words(a), _pack_words(b), q).diagonal().astype(np.int64)
+        inner = (a.astype(np.int64) * b).sum(axis=1)
+        gram = _gram(bits)[np.arange(0, 2000, 2), np.arange(1, 2000, 2)]
+        bad = np.flatnonzero((2 * dist != q - inner) | (gram != q - 2 * dist))
+        if bad.size:
+            _report("criterion 2 (Hamming-Euclid identity)", False, f"q={q} pair {bad[0]}")
+        checked += dist.size
     elapsed = time.perf_counter() - start
     _report(
         "criterion 2 (Hamming-Euclid identity)",
@@ -223,7 +226,7 @@ def test_criterion_6_planted_center_recovery(generate):
 
 
 def test_criterion_7_retrieval_metric_oracle():
-    ap = average_precision(1, [1, 0, 1, 0], 4)
+    ap = _hit_stats(np.flatnonzero([1, 0, 1, 0]), 1, 4, np.array([4]))[1][0, 0]
     if abs(ap - (1.0 + 2.0 / 3.0) / 2.0) > 1e-12:
         _report("criterion 7 (retrieval-metric oracle)", False, f"AP example gave {ap}")
 
@@ -240,8 +243,8 @@ def test_criterion_7_retrieval_metric_oracle():
     worst = 0.0
     ap_rows, p_rows, r_rows = [], [], []
     for qi in range(n_q):
-        qlabel, qcode = queries.record(qi)
-        dist = [int(np.count_nonzero(db.codes[j] != qcode.bits)) for j in range(n_db)]
+        qlabel, qcode = int(queries.labels[qi]), queries.codes[qi]
+        dist = [int(np.count_nonzero(db.codes[j] != qcode)) for j in range(n_db)]
         order = sorted(range(n_db), key=lambda j: (dist[j], j))
         labels = [int(db.labels[j]) for j in order]
         total_rel = sum(1 for v in db.labels if int(v) == qlabel)

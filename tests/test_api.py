@@ -1,0 +1,47 @@
+"""The public API: what ``shc`` and its modules export, and what they no longer do."""
+
+import importlib
+
+import pytest
+
+import shc
+from shc.core import CodeDatabase
+
+MODULES = ["cli", "core", "similarity", "gv", "optimizer", "evaluation", "losses"]
+
+# Second doors to the package's kernels that only tests called (and, below,
+# CodeDatabase.record); the tests check those kernels directly and against
+# tests/oracles.py.
+REMOVED = [
+    "hamming_distance",
+    "inner_product",
+    "_check_same_length",
+    "rank_database",
+    "average_precision",
+    "normalize_row",
+    "symmetrize_and_unit_diag",
+]
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from shc import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(shc.__all__)
+    assert len(set(shc.__all__)) == len(shc.__all__)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_defines_its_all(name):
+    module = importlib.import_module(f"shc.{name}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("name", ["shc", *(f"shc.{m}" for m in MODULES)])
+def test_removed_names_are_gone(name):
+    module = importlib.import_module(name)
+    assert [n for n in REMOVED if hasattr(module, n)] == []
+
+
+def test_code_database_has_no_record_method():
+    assert not hasattr(CodeDatabase, "record")

@@ -14,8 +14,6 @@ from shc.core import (
     FormatError,
     SimilarityMatrix,
     ValidationError,
-    hamming_distance,
-    inner_product,
     pack_code_rows,
     read_centers,
     read_codes,
@@ -24,9 +22,12 @@ from shc.core import (
     write_codes,
 )
 from shc.core import _flip_bit, _hamming, _pack_words, _unpack_words
-from shc.evaluation import evaluate, rank_database
-from shc.optimizer import descend, init_centers, quality_metrics, violation_count
+from shc.evaluation import evaluate
+from shc.optimizer import _gram, descend, init_centers, quality_metrics, violation_count
 from shc.similarity import cosine_similarity_matrix
+
+from oracles import hamming_distance as oracle_distance
+from oracles import hamming_matrix, inner_product
 
 
 def code(*bits):
@@ -60,13 +61,19 @@ class TestBinaryCode:
         assert hash(code(1, -1)) == hash(code(1, -1))
 
 
+def hamming_distance(a, b):
+    """The package's distance between two codes: the packed kernel on one row each."""
+    return int(_hamming(_pack_words(a.bits), _pack_words(b.bits), a.q))
+
+
 class TestHammingAndInner:
     def test_identity_case(self):
         a = code(1, 1, 1, 1)
         assert hamming_distance(a, a) == 0
 
     def test_direct_count(self):
-        assert hamming_distance(code(1, 1, 1, 1), code(1, -1, 1, -1)) == 2
+        a, b = code(1, 1, 1, 1), code(1, -1, 1, -1)
+        assert hamming_distance(a, b) == oracle_distance(a, b) == 2
 
     def test_full_complement(self):
         a, b = code(1, -1), code(-1, 1)
@@ -74,16 +81,9 @@ class TestHammingAndInner:
         assert (a.q - inner_product(a, b)) // 2 == 2
 
     def test_inner_product_examples(self):
-        c = code(1, -1, 1)
-        assert inner_product(c, c) == 3
-        assert inner_product(code(1, 1), code(-1, -1)) == -2
-        assert inner_product(code(1, 1, 1, 1), code(1, -1, 1, -1)) == 0
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            hamming_distance(code(1, 1), code(1, 1, 1))
-        with pytest.raises(DimensionMismatchError):
-            inner_product(code(1, 1), code(1, 1, 1))
+        # the Gram kernel's entries are the inner products of its rows
+        for a, b, want in [((1, -1, 1), (1, -1, 1), 3), ((1, 1), (-1, -1), -2), ((1, 1, 1, 1), (1, -1, 1, -1), 0)]:
+            assert inner_product(code(*a), code(*b)) == _gram([a, b])[0, 1] == want
 
     @pytest.mark.parametrize("q", [8, 16, 32, 64])
     def test_hamming_euclid_identity(self, q):
@@ -114,11 +114,6 @@ class TestHammingAndInner:
         assert 2 * hamming_distance(a, b) == q - inner_product(a, b)
 
 
-def hamming_oracle(a, b):
-    """Reference distances: the int64 {-1,+1} inner product, shaped like ``a @ b.T``."""
-    return (a.shape[-1] - a.astype(np.int64) @ b.T) // 2
-
-
 class TestPackedHammingKernel:
     @pytest.mark.parametrize("q", [1, 7, 8, 9, 63, 64, 65, 255, 256, 300])
     def test_matches_matmul_oracle(self, q):
@@ -130,7 +125,7 @@ class TestPackedHammingKernel:
         pa, pb = _pack_words(a), _pack_words(b)
         cases = [(a, b, pa, pb), (a[2], b, pa[2], pb), (a, b[3], pa, pb[3]), (a[0], b[0], pa[0], pb[0])]
         for x, y, px, py in cases:
-            got, want = _hamming(px, py, q), hamming_oracle(x, y)
+            got, want = _hamming(px, py, q), hamming_matrix(x, y)
             assert np.shape(got) == np.shape(want)
             assert np.array_equal(got, want)
         assert _hamming(pa, pb, q)[0, 0] == q
@@ -256,7 +251,7 @@ class TestCodesIO:
         write_codes(db, path)
         back = read_codes(path)
         assert back == db
-        assert back.record(0) == (3, code(1, -1, 1))
+        assert (int(back.labels[0]), BinaryCode(back.codes[0])) == (3, code(1, -1, 1))
 
     @given(st.integers(0, 20), st.integers(1, 33), st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -380,8 +375,8 @@ def test_fortran_ordered_rows_give_the_c_ordered_results(q):
     f_queries = CodeDatabase(labels[:30], np.asfortranarray(codes[:30]))
     assert f_db.codes.flags.c_contiguous and f_queries.codes.flags.c_contiguous
     assert evaluate(f_queries, f_db, [10, 300]) == evaluate(queries, db, [10, 300])
-    assert np.array_equal(rank_database(BinaryCode(codes[0]), f_db),
-                          rank_database(BinaryCode(codes[0]), db))
+    assert np.array_equal(_hamming(_pack_words(f_queries.codes), _pack_words(f_db.codes), q),
+                          _hamming(_pack_words(queries.codes), _pack_words(db.codes), q))
 
     C, d = 40, q // 4
     S = cosine_similarity_matrix(rng.normal(size=(C, 16)))

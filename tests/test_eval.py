@@ -9,13 +9,9 @@ from numpy.testing import assert_allclose
 
 from shc import evaluation
 from shc.core import BinaryCode, CodeDatabase, DimensionMismatchError, ValidationError, _pack_words
-from shc.evaluation import (
-    DEFAULT_PR_GRID,
-    average_precision,
-    evaluate,
-    rank_database,
-    worker_count,
-)
+from shc.evaluation import DEFAULT_PR_GRID, evaluate, worker_count
+
+from oracles import average_precision, dense_ap, hamming_matrix, rank_database
 
 
 def random_db(rng, n, q, classes):
@@ -29,10 +25,10 @@ def naive_metrics(queries, db, ks):
     n = len(db)
     out = {"ap": [], "precision": [], "recall": []}
     for qi in range(len(queries)):
-        qlabel, qcode = queries.record(qi)
+        qlabel, qcode = int(queries.labels[qi]), queries.codes[qi]
         scored = sorted(
             range(n),
-            key=lambda j: (sum(db.codes[j][k] != qcode.bits[k] for k in range(db.q)), j),
+            key=lambda j: (sum(db.codes[j][k] != qcode[k] for k in range(db.q)), j),
         )
         labels = [int(db.labels[j]) for j in scored]
         total_rel = sum(1 for v in db.labels if int(v) == qlabel)
@@ -56,23 +52,31 @@ def naive_metrics(queries, db, ks):
     return {k: np.array(v) for k, v in out.items()}
 
 
-def dense_ap(rel, cutoffs):
-    """Reference relevant-counts and AP at each cutoff: cumsums over every ranked position."""
-    N = rel.shape[1]
-    cum = np.cumsum(rel, axis=1)
-    ap_num = np.cumsum(rel * (cum / np.arange(1, N + 1)), axis=1)
-    at = np.minimum(cutoffs, N) - 1
-    hits = cum[:, at]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ap = np.where(hits > 0, ap_num[:, at] / hits, 0.0)
-    return hits, ap
-
-
 def dense_chunk_stats(q_codes, q_labels, db_codes, db_labels, cutoffs):
     """Reference chunk statistics: int64 matmul distances, full sort order, dense AP."""
-    dist = (q_codes.shape[1] - q_codes.astype(np.int64) @ db_codes.astype(np.int64).T) // 2
-    order = np.argsort(dist, axis=1, kind="stable")
+    order = np.argsort(hamming_matrix(q_codes, db_codes), axis=1, kind="stable")
     return dense_ap(db_labels[order] == q_labels[:, None], cutoffs)
+
+
+def package_order(query, db):
+    """The package's ranking of db for one query: each record is the lone hit of one row of a chunk.
+
+    A row whose one hit lies at 0-based rank p has AP 1/(p+1) at cutoff N,
+    so the ranks come back from the AP column.
+    """
+    N = len(db)
+    own = np.arange(N)  # record j is the only record of label j
+    _, ap, _ = evaluation._chunk_stats(
+        np.repeat(_pack_words(query.bits[None, :]), N, axis=0), own, _pack_words(db.codes), own, own, db.q,
+        np.array([N]),
+    )
+    return np.argsort(np.rint(1.0 / ap[:, 0]))
+
+
+def ap_at(rel, k):
+    """The package's AP@K of one ranked 0/1 row."""
+    rel = np.asarray(rel, dtype=bool)
+    return float(evaluation._hit_stats(np.flatnonzero(rel), 1, rel.size, np.array([k]))[1][0, 0])
 
 
 class TestRankDatabase:
@@ -80,45 +84,47 @@ class TestRankDatabase:
         rng = np.random.default_rng(0)
         db = random_db(rng, 6, 8, 3)
         query = BinaryCode(db.codes[3])
-        assert rank_database(query, db)[0] == 3
+        assert package_order(query, db)[0] == rank_database(query, db)[0] == 3
 
     def test_tie_breaks_by_index(self):
         codes = np.array([[1, 1, 1, 1], [1, 1, 1, -1], [1, 1, -1, 1]], dtype=np.int8)
         db = CodeDatabase([0, 1, 2], codes)
-        order = rank_database(BinaryCode([1, 1, 1, 1]), db)
-        assert order.tolist() == [0, 1, 2]  # records 1 and 2 tie at distance 1
+        query = BinaryCode([1, 1, 1, 1])
+        assert package_order(query, db).tolist() == rank_database(query, db).tolist() == [0, 1, 2]  # 1 and 2 tie
 
     def test_matches_naive_sort(self):
         rng = np.random.default_rng(1)
         db = random_db(rng, 100, 16, 5)
         for _ in range(10):
             query = BinaryCode(rng.integers(0, 2, 16) * 2 - 1)
-            got = rank_database(query, db)
             want = sorted(
                 range(100),
                 key=lambda j: (int(np.count_nonzero(db.codes[j] != query.bits)), j),
             )
-            assert got.tolist() == want
+            assert package_order(query, db).tolist() == rank_database(query, db).tolist() == want
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(2)
         with pytest.raises(DimensionMismatchError):
-            rank_database(BinaryCode([1, -1]), random_db(rng, 4, 8, 2))
+            evaluate(CodeDatabase([0], np.array([[1, -1]], dtype=np.int8)), random_db(rng, 4, 8, 2), [1])
 
 
 class TestAveragePrecision:
     def test_hand_computed(self):
+        assert_allclose(ap_at([1, 0, 1, 0], 4), (1.0 + 2.0 / 3.0) / 2.0)
         assert_allclose(average_precision(1, [1, 0, 1, 0], 4), (1.0 + 2.0 / 3.0) / 2.0)
 
     def test_all_relevant(self):
-        assert average_precision(7, [7, 7, 7], 3) == 1.0
+        assert ap_at([1, 1, 1], 3) == average_precision(7, [7, 7, 7], 3) == 1.0
 
     def test_none_relevant(self):
-        assert average_precision(7, [1, 2, 3], 3) == 0.0
+        assert ap_at([0, 0, 0], 3) == average_precision(7, [1, 2, 3], 3) == 0.0
 
     def test_k_validation(self):
+        rng = np.random.default_rng(11)
+        db = random_db(rng, 4, 8, 2)
         with pytest.raises(ValidationError):
-            average_precision(1, [1], 0)
+            evaluate(db, db, [0])
 
 
 class TestChunkStats:
@@ -181,10 +187,11 @@ class TestChunkStats:
 
     def test_average_precision_is_the_same_formula(self):
         rng = np.random.default_rng(13)
-        for labels in rng.integers(0, 3, (20, 400)):
-            for k in (1, 10, 37, 400, 1000):
-                want = dense_ap((labels == 1)[None, :], np.array([k]))[1][0, 0]
-                assert average_precision(1, labels, k) == want
+        labels = rng.integers(0, 3, (20, 400))
+        cutoffs = np.array([1, 10, 37, 400, 1000])
+        _, ap = evaluation._hit_stats(np.flatnonzero(labels == 1), *labels.shape, cutoffs)
+        for row, row_ap in zip(labels, ap):
+            assert [average_precision(1, row, k) for k in cutoffs] == row_ap.tolist()
 
 
 def clustered_dbs(rng, sizes, q, classes, flip):

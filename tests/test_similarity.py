@@ -12,6 +12,7 @@ from shc.core import (
     DimensionMismatchError,
     FormatError,
     MissingClassError,
+    SimilarityMatrix,
     ValidationError,
 )
 from shc import similarity
@@ -21,13 +22,13 @@ from shc.similarity import (
     class_similarity_rows,
     cosine_similarity_matrix,
     masked_softmax,
-    normalize_row,
     read_embeddings,
     read_logits,
     read_similarity,
-    symmetrize_and_unit_diag,
     write_similarity,
 )
+
+from oracles import normalize_row, symmetrize_and_unit_diag
 
 
 def straight_line_pipeline(labels, logits):
@@ -180,41 +181,52 @@ class TestClassRows:
 class TestNormalizeRow:
     def test_hand_arithmetic(self):
         assert_allclose(normalize_row([0.1, 0.3, 0.6]), [-0.875, -0.125, 1.0], atol=1e-12)
+        # rows normalize to (-0.875, -0.125, 1), (-1, 0, 1) and (1, -1, 0), then meet their mirrors
+        got = similarity._similarity_of_rows(np.array([[0.1, 0.3, 0.6], [2.0, 2.5, 3.0], [1.0, 0.0, 0.5]]))
+        assert_allclose(got.values, [[1.0, -0.5625, 1.0], [-0.5625, 1.0, 0.0], [1.0, 0.0, 1.0]], atol=1e-12)
 
     def test_arithmetic_progression(self):
         assert_allclose(normalize_row([2.0, 2.5, 3.0]), [-1.0, 0.0, 1.0], atol=1e-12)
+        rows = np.array([[2.0, 2.5, 3.0], [0.0, 1.0, 2.0], [4.0, 3.0, 2.0]])
+        similarity._similarity_of_rows(rows)  # normalizes the rows in place
+        assert_allclose(rows, [[-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], [1.0, 0.0, -1.0]], atol=1e-12)
 
     def test_constant_row_degenerate(self):
         with pytest.raises(DegenerateInputError):
             normalize_row([0.0, 0.0, 0.0])
-        with pytest.raises(DegenerateInputError):
-            normalize_row([3.0, 3.0])
+        for rows in ([[0.0, 0.0, 0.0], [0.1, 0.5, 0.2], [0.3, 0.2, 0.9]], [[3.0, 3.0], [0.0, 1.0]]):
+            with pytest.raises(DegenerateInputError, match="cannot normalize a constant row"):
+                similarity._similarity_of_rows(np.array(rows))
 
     def test_max_abs_is_one(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
-            row = rng.normal(0, 3, int(rng.integers(2, 30)))
-            out = normalize_row(row)
-            assert abs(np.abs(out).max() - 1.0) <= 1e-12
-            assert np.abs(out).max() <= 1.0
+            C = int(rng.integers(2, 30))
+            rows = rng.normal(0, 3, (C, C))
+            want = np.stack([normalize_row(r) for r in rows])
+            similarity._similarity_of_rows(rows)  # normalizes the rows in place
+            assert rows.tobytes() == want.tobytes()
+            assert np.abs(np.abs(rows).max(axis=1) - 1.0).max() <= 1e-12
+            assert np.abs(rows).max() <= 1.0
 
 
 class TestSymmetrize:
     def test_hand_arithmetic(self):
-        m = symmetrize_and_unit_diag([[0.9, 0.2], [0.4, 0.8]])
+        m = SimilarityMatrix._symmetrized(np.array([[0.9, 0.2], [0.4, 0.8]]))
         assert_allclose(m.values, [[1.0, 0.3], [0.3, 1.0]])
+        assert m == symmetrize_and_unit_diag([[0.9, 0.2], [0.4, 0.8]])
 
     def test_symmetric_input_unchanged_off_diagonal(self):
-        m = symmetrize_and_unit_diag([[0.5, -0.25], [-0.25, 0.7]])
+        m = SimilarityMatrix._symmetrized(np.array([[0.5, -0.25], [-0.25, 0.7]]))
         assert m.values[0, 1] == -0.25
         assert (np.diag(m.values) == 1.0).all()
 
     def test_1x1_diagonal_rule(self):
-        assert symmetrize_and_unit_diag([[0.2]]).values.tolist() == [[1.0]]
+        assert SimilarityMatrix._symmetrized(np.array([[0.2]])).values.tolist() == [[1.0]]
 
     def test_non_square(self):
         with pytest.raises(DimensionMismatchError):
-            symmetrize_and_unit_diag([[0.1, 0.2, 0.3], [0.1, 0.2, 0.3]])
+            SimilarityMatrix.snap([[0.1, 0.2, 0.3], [0.1, 0.2, 0.3]])
 
 
 class TestBuildSimilarity:
