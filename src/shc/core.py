@@ -157,6 +157,18 @@ class CenterSet:
         return f"CenterSet(C={self.C}, q={self.q})"
 
 
+def _square_finite(values) -> np.ndarray:
+    """``values`` as a float64 array, checked to be a non-empty, square, finite similarity matrix."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise DimensionMismatchError(f"similarity matrix must be square, got shape {arr.shape}")
+    if arr.shape[0] < 1:
+        raise ValidationError("similarity matrix needs at least one class")
+    if not np.isfinite(arr).all():
+        raise ValidationError("similarity entries must be finite")
+    return arr
+
+
 class SimilarityMatrix:
     """Symmetric C x C matrix of inter-class similarities in [-1, 1], unit diagonal.
 
@@ -168,13 +180,7 @@ class SimilarityMatrix:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimensionMismatchError(f"similarity matrix must be square, got shape {arr.shape}")
-        if arr.shape[0] < 1:
-            raise ValidationError("similarity matrix needs at least one class")
-        if not np.isfinite(arr).all():
-            raise ValidationError("similarity entries must be finite")
+        arr = _square_finite(values)
         if not np.array_equal(arr, arr.T):
             raise ValidationError("similarity matrix must be exactly symmetric")
         if not (np.diag(arr) == 1.0).all():
@@ -188,13 +194,7 @@ class SimilarityMatrix:
     @classmethod
     def snap(cls, values) -> "SimilarityMatrix":
         """Validate near-symmetry/diagonal within :data:`SNAP_TOL`, then snap exactly."""
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimensionMismatchError(f"similarity matrix must be square, got shape {arr.shape}")
-        if arr.shape[0] < 1:
-            raise ValidationError("similarity matrix needs at least one class")
-        if not np.isfinite(arr).all():
-            raise ValidationError("similarity entries must be finite")
+        arr = _square_finite(values)
         buf = np.subtract(arr, arr.T)
         asym = np.abs(buf, out=buf).max()
         if asym > SNAP_TOL:
@@ -247,12 +247,9 @@ class CodeDatabase:
     __slots__ = ("labels", "codes")
 
     def __init__(self, labels, codes):
-        code_arr = np.asarray(codes)
-        if code_arr.ndim != 2:
-            raise ValidationError(f"codes must be 2-dimensional, got shape {code_arr.shape}")
+        code_arr = _pm1_array(codes, 2, "codes")
         if code_arr.shape[1] < 1:
             raise ValidationError("code length must be at least 1")
-        code_arr = _pm1_array(code_arr, 2, "codes")
         label_arr = np.asarray(labels)
         if label_arr.ndim != 1:
             raise ValidationError("labels must be 1-dimensional")

@@ -47,13 +47,13 @@ _MASK_MODES = (MASK_GROUND_TRUTH, MASK_ARGMAX)
 log = logging.getLogger(__name__)
 
 # Working-memory budget of one logit chunk, and the most a chunk holds per
-# logit: 23.6-25.5 bytes by tracemalloc at C = 10 and 100 with either mask
-# (the parsed float64 record, the kept logits, the softmax output, the keep
-# mask).  stream_similarity's memory is the budget plus a few C x C arrays,
-# whatever the record count; 256 KiB to 16 MiB chunks all ran as fast as
-# the whole-file path on 30k x 100 logits.
+# logit: 25.1-26.3 bytes by tracemalloc at C = 10 and 100 with either mask
+# (the parsed record with its 4-byte id, the kept logits, the softmax
+# output, the keep mask, the argmax).  stream_similarity's memory is the
+# budget plus a few C x C arrays, whatever the record count; 256 KiB to
+# 16 MiB chunks all ran as fast as the whole-file path on 30k x 100 logits.
 LOGIT_CHUNK_BYTES = 1 << 20
-LOGIT_BYTES_PER_VALUE = 26
+LOGIT_BYTES_PER_VALUE = 27
 
 
 def masked_softmax(logits, masked) -> np.ndarray:
@@ -180,7 +180,7 @@ def stream_similarity(source, mask: str = MASK_GROUND_TRUTH) -> SimilarityMatrix
     """
     sums = _ClassSums(mask)
     with _open_stream(source, "r") as fh:
-        C = _read_logit_header(fh)
+        (C,) = _read_header(fh, "logit", ("C",))
         chunk_rows = max(1, LOGIT_CHUNK_BYTES // (LOGIT_BYTES_PER_VALUE * C))
         records = chunks = 0
         for rows in _logit_rows(fh, C, chunk_rows):
@@ -212,24 +212,35 @@ def cosine_similarity_matrix(embeddings) -> SimilarityMatrix:
     return SimilarityMatrix._symmetrized(unit @ unit.T)
 
 
-def _parse_header_int(text, key, what):
-    prefix = key + "="
-    if not text.startswith(prefix):
-        raise FormatError(f"{what}: expected '{prefix}<int>', got {text!r}")
+# A header integer is spelled as a field's: ASCII digits, an optional sign, optional spaces around.
+_HEADER_INT = r"\s*([+-]?[0-9]+)\s*"
+
+
+def _read_header(fh, kind: str, keys) -> list[int]:
+    """Line 1 of a ``kind`` file: one ``key=<int>`` field per key (a bare ``<int>`` for key ""), each positive."""
+    header = fh.readline()
+    if not header:
+        raise FormatError(f"empty {kind} file")
+    text = header.strip()
+    form = ",".join(f"{key}=<int>" if key else "<int>" for key in keys)
+    match = re.fullmatch(form.replace("<int>", _HEADER_INT), text)
     try:
-        value = int(text[len(prefix):])
-    except ValueError:
-        raise FormatError(f"{what}: expected '{prefix}<int>', got {text!r}") from None
-    if value < 1:
-        raise FormatError(f"{what}: {key} must be positive, got {value}")
-    return value
+        values = [int(digits) for digits in match.groups()] if match else None
+    except ValueError:  # more digits than int() converts
+        values = None
+    if values is None:
+        raise FormatError(f"{kind} file header: expected {form!r}, got {text!r}")
+    for key, value in zip(keys, values):
+        if value < 1:
+            raise FormatError(f"{kind} file header: {key or 'C'} must be positive, got {value}")
+    return values
 
 
 # The last "at row N" of a loadtxt message: a quoted field may hold the words too.
 _LOADTXT_ROW = re.compile(r"(.*)at row (\d+)", re.S)
 
 
-def _read_table(fh, what: str, width: int, count=None, head=(), converters=None, chunk_rows=None):
+def _read_table(fh, what: str, width: int, count=None, head=(), chunk_rows=None):
     """Parse the rest of ``fh`` as rows of ``width`` comma-separated fields, with numpy's text reader.
 
     Yields chunks of ``chunk_rows`` rows, or the whole table as one chunk
@@ -253,8 +264,7 @@ def _read_table(fh, what: str, width: int, count=None, head=(), converters=None,
     done, line = 0, first
     while line is not None:
         try:
-            rows = np.loadtxt(chain([line], islice(lines, rest)), dtype=dtype, delimiter=",", comments=None,
-                              converters=converters, ndmin=1)
+            rows = np.loadtxt(chain([line], islice(lines, rest)), dtype=dtype, delimiter=",", comments=None, ndmin=1)
             line = next(lines, None)  # in the try: a decode error here reads as it would inside loadtxt
         except ValueError as exc:
             message = _LOADTXT_ROW.sub(lambda m: f"{m[1]}at row {int(m[2]) + done}", str(exc).split(";")[0], 1)
@@ -265,17 +275,13 @@ def _read_table(fh, what: str, width: int, count=None, head=(), converters=None,
         raise FormatError(f"{what}: expected {count} rows, got {done}")
 
 
-def _read_logit_header(fh) -> int:
-    header = fh.readline()
-    if not header:
-        raise FormatError("empty logit file")
-    return _parse_header_int(header.strip(), "C", "logit file header")
-
-
 def _logit_rows(fh, C: int, chunk_rows=None):
-    """The ``id,label,logit_0,...`` records after a logit file's header, as _read_table chunks."""
-    return _read_table(fh, "logit file", 2 + C, head=[("id", "u1"), ("label", "<i8")],
-                       converters={0: lambda _: 0}, chunk_rows=chunk_rows)
+    """The ``id,label,logit_0,...`` records after a logit file's header, as _read_table chunks.
+
+    The ignored id is read as one character, which numpy's reader truncates
+    to: any id parses, and no Python code runs per record.
+    """
+    return _read_table(fh, "logit file", 2 + C, head=[("id", "U1"), ("label", "<i8")], chunk_rows=chunk_rows)
 
 
 def read_logits(source) -> tuple[np.ndarray, np.ndarray]:
@@ -288,7 +294,7 @@ def read_logits(source) -> tuple[np.ndarray, np.ndarray]:
     :func:`stream_similarity` builds S from a logit file chunk by chunk.
     """
     with _open_stream(source, "r") as fh:
-        C = _read_logit_header(fh)
+        (C,) = _read_header(fh, "logit", ("C",))
         (rows,) = _logit_rows(fh, C)
     labels = rows["label"]
     if labels.min() < 0 or labels.max() >= C:
@@ -299,14 +305,7 @@ def read_logits(source) -> tuple[np.ndarray, np.ndarray]:
 def read_embeddings(source) -> np.ndarray:
     """Parse an embedding file: ``C=<int>,D=<int>`` then C rows of D reals."""
     with _open_stream(source, "r") as fh:
-        header = fh.readline()
-        if not header:
-            raise FormatError("empty embedding file")
-        fields = header.strip().split(",")
-        if len(fields) != 2:
-            raise FormatError(f"embedding header must be 'C=<int>,D=<int>', got {header.strip()!r}")
-        C = _parse_header_int(fields[0], "C", "embedding header")
-        D = _parse_header_int(fields[1], "D", "embedding header")
+        C, D = _read_header(fh, "embedding", ("C", "D"))
         (rows,) = _read_table(fh, "embedding file", D, count=C)
         rows = rows["values"]
         if not np.isfinite(rows).all():
@@ -340,16 +339,6 @@ def write_similarity(matrix: SimilarityMatrix, sink) -> None:
 def read_similarity(source) -> SimilarityMatrix:
     """Read a similarity matrix file; validates within ``SNAP_TOL`` and snaps exactly."""
     with _open_stream(source, "r") as fh:
-        header = fh.readline()
-        if not header:
-            raise FormatError("empty similarity file")
-        try:
-            C = int(header.strip())
-        except ValueError:
-            raise FormatError(
-                f"similarity header must be an integer class count, got {header.strip()!r}"
-            ) from None
-        if C < 1:
-            raise FormatError(f"similarity class count must be positive, got {C}")
+        (C,) = _read_header(fh, "similarity", ("",))
         (rows,) = _read_table(fh, "similarity file", C, count=C)
     return SimilarityMatrix.snap(rows["values"])

@@ -567,6 +567,93 @@ class TestHostileInput:
         assert capsys.readouterr().err == f"shc: error: {line}\n"
 
 
+# Line 1 of each text format, with the class count (and dimension) of the
+# body written after it and the FormatError message it gets (None: read).
+# Header integers follow the field rule: `_` separators and non-ASCII
+# digits are rejected, though Python's int() reads them, and so is a
+# count longer than int() converts.
+HEADER_CASES = [
+    ("logits", "C=5", (5,), None),
+    ("logits", "C= 5", (5,), None),
+    ("logits", "C=+5", (5,), None),
+    ("embeddings", "C=600,D=64", (600, 64), None),
+    ("similarity", "600", (600,), None),
+    ("logits", None, (5,), "empty logit file"),
+    ("embeddings", None, (5, 3), "empty embedding file"),
+    ("similarity", None, (5,), "empty similarity file"),
+    ("logits", "C=0", (5,), "logit file header: C must be positive, got 0"),
+    ("embeddings", "C=5,D=0", (5, 3), "embedding file header: D must be positive, got 0"),
+    ("similarity", "0", (5,), "similarity file header: C must be positive, got 0"),
+    ("logits", "x", (5,), "logit file header: expected 'C=<int>', got 'x'"),
+    ("embeddings", "x", (5, 3), "embedding file header: expected 'C=<int>,D=<int>', got 'x'"),
+    ("similarity", "x", (5,), "similarity file header: expected '<int>', got 'x'"),
+    ("logits", "C=5,D=3", (5,), "logit file header: expected 'C=<int>', got 'C=5,D=3'"),
+    ("embeddings", "C=5, D=3", (5, 3), "embedding file header: expected 'C=<int>,D=<int>', got 'C=5, D=3'"),
+    ("embeddings", "C=5", (5, 3), "embedding file header: expected 'C=<int>,D=<int>', got 'C=5'"),
+    ("similarity", "C=600", (600,), "similarity file header: expected '<int>', got 'C=600'"),
+    ("logits", "C=1_0", (10,), "logit file header: expected 'C=<int>', got 'C=1_0'"),
+    ("embeddings", "C=1_0,D=3", (10, 3), "embedding file header: expected 'C=<int>,D=<int>', got 'C=1_0,D=3'"),
+    ("similarity", "1_0", (10,), "similarity file header: expected '<int>', got '1_0'"),
+    ("logits", "C=\uff15", (5,), "logit file header: expected 'C=<int>', got 'C=\uff15'"),
+    ("embeddings", "C=5,D=\uff13", (5, 3), "embedding file header: expected 'C=<int>,D=<int>', got 'C=5,D=\uff13'"),
+    ("similarity", "\uff15", (5,), "similarity file header: expected '<int>', got '\uff15'"),
+    ("logits", "C=" + "9" * 5000, (5,), "logit file header: expected 'C=<int>', got 'C=" + "9" * 5000 + "'"),
+]
+HEADER_REJECTED = [case for case in HEADER_CASES if case[3] is not None]
+
+
+def header_ids(cases):
+    return [f"{kind}:{header}"[:32] for kind, header, _, _ in cases]
+
+
+def header_file(path, kind, header, dims):
+    """``header`` and a body that a reader taking the header as ``dims`` accepts."""
+    C = dims[0]
+    rng = np.random.default_rng(C)
+    if kind == "logits":  # one record per class
+        body = [",".join([f"img{i}", str(i)] + [repr(v) for v in rng.normal(size=C).tolist()]) for i in range(C)]
+    elif kind == "embeddings":
+        body = [",".join(map(repr, row)) for row in rng.normal(size=dims).tolist()]
+    else:
+        body = [",".join("1" if i == j else "0" for j in range(C)) for i in range(C)]
+    path.write_text("" if header is None else "\n".join([header, *body]) + "\n", encoding="utf-8")
+    return path
+
+
+def read_shape(kind, path):
+    if kind == "logits":
+        return read_logits(path)[1].shape[1:]
+    if kind == "embeddings":
+        return read_embeddings(path).shape
+    return (read_similarity(path).C,)
+
+
+class TestHeaders:
+    @pytest.mark.parametrize("kind, header, dims, message", HEADER_CASES, ids=header_ids(HEADER_CASES))
+    def test_reader_accepts_or_raises_format_error(self, kind, header, dims, message, tmp_path):
+        path = header_file(tmp_path / "header", kind, header, dims)
+        if message is None:
+            assert read_shape(kind, path) == dims
+        else:
+            with pytest.raises(FormatError):
+                read_shape(kind, path)
+
+    @pytest.mark.parametrize("kind, header, dims, message", HEADER_REJECTED, ids=header_ids(HEADER_REJECTED))
+    def test_cli_one_line_exit_1(self, kind, header, dims, message, tmp_path, capsys):
+        path = header_file(tmp_path / "header", kind, header, dims)
+        assert main(hostile_argv(kind, str(path), tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("shc: error:") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("kind, header, dims, message", HEADER_REJECTED, ids=header_ids(HEADER_REJECTED))
+    def test_diagnostic_names_the_form_and_the_text(self, kind, header, dims, message, tmp_path):
+        # apart from the table test, so that one fails only where a header's outcome changes
+        path = header_file(tmp_path / "header", kind, header, dims)
+        with pytest.raises(FormatError) as info:
+            read_shape(kind, path)
+        assert str(info.value) == message
+
+
 # sha256 of every file run_golden_pipeline writes (recorded with numpy 2.4
 # on x86-64).  Changes meant to keep the CLI's outputs must keep these bytes.
 GOLDEN_SHA256 = {

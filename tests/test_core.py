@@ -311,6 +311,15 @@ class TestSimilarityMatrix:
             tracemalloc.stop()
         assert peak <= bound * C * C * 8
 
+    @pytest.mark.parametrize("values, message", [
+        (np.zeros((0, 0)), "similarity matrix needs at least one class"),
+        ([[1.0, np.nan], [np.nan, 1.0]], "similarity entries must be finite"),
+    ])
+    def test_constructor_rejects_empty_and_nonfinite(self, values, message):
+        with pytest.raises(ValidationError) as info:
+            SimilarityMatrix(values)
+        assert str(info.value) == message
+
     def test_snap_rejects_empty(self):
         with pytest.raises(ValidationError, match="at least one class"):
             SimilarityMatrix.snap(np.zeros((0, 0)))
@@ -362,6 +371,11 @@ class TestCenterSetAndDatabase:
             CodeDatabase([-1], np.ones((1, 4), dtype=np.int8))
         with pytest.raises(ValidationError):
             CodeDatabase(np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int8))
+
+    def test_database_rejects_2d_labels(self):
+        with pytest.raises(ValidationError) as info:
+            CodeDatabase(np.zeros((2, 1), dtype=np.int64), np.ones((2, 4), dtype=np.int8))
+        assert str(info.value) == "labels must be 1-dimensional"
 
 
 @pytest.mark.parametrize("q", [64, 65, 128])

@@ -475,6 +475,17 @@ class TestEvaluate:
         with pytest.raises(DimensionMismatchError):
             evaluate(random_db(rng, 2, 4, 2), db, [1])
 
+    def test_empty_query_set_and_zero_pr_cutoff(self):
+        rng = np.random.default_rng(11)
+        db = random_db(rng, 10, 8, 2)
+        no_queries = CodeDatabase(np.zeros(0, dtype=np.int64), np.zeros((0, 8), dtype=np.int8))
+        with pytest.raises(ValidationError) as info:
+            evaluate(no_queries, db, [1])
+        assert str(info.value) == "cannot evaluate an empty query set"
+        with pytest.raises(ValidationError) as info:
+            evaluate(random_db(rng, 2, 8, 2), db, [1], pr_grid=[5, 0])
+        assert str(info.value) == "PR grid cutoffs must be >= 1, got [5, 0]"
+
 
 class TestWorkerCount:
     def test_env_override(self, monkeypatch):

@@ -161,6 +161,24 @@ class TestInitCenters:
         with pytest.raises(ValidationError):
             init_centers(8, 17, 2, seed=0, method=INIT_HADAMARD)
 
+    @pytest.mark.parametrize("q, C, d, message", [
+        (0, 2, 1, "code length must be positive, got 0"),
+        (8, 0, 1, "class count must be positive, got 0"),
+        (8, 2, 0, "d must lie in [1, 8], got 0"),
+        (8, 2, 9, "d must lie in [1, 8], got 9"),
+    ])
+    def test_size_checks(self, q, C, d, message):
+        with pytest.raises(ValidationError) as info:
+            init_centers(q, C, d, seed=0)
+        assert str(info.value) == message
+
+    def test_hadamard_warns_once_when_d_exceeds_half_q(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="shc.optimizer"):
+            init_centers(16, 4, 9, seed=0, method=INIT_HADAMARD)
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.WARNING, "hadamard init: 6 center pairs below target distance 9 (pairwise spacing is q/2=8)")
+        ]
+
     def test_bad_method(self):
         with pytest.raises(ValidationError):
             init_centers(8, 2, 2, seed=0, method="mds")

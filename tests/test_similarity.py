@@ -322,6 +322,16 @@ class TestCosine:
         m = cosine_similarity_matrix([[1.0, 0.0], [1.0, 1.0]])
         assert_allclose(m.values[0, 1], 0.7071067811865475, atol=1e-12)
 
+    @pytest.mark.parametrize("embeddings, message", [
+        (np.ones(3), "embeddings must be 2-dimensional, got shape (3,)"),
+        (np.ones((0, 3)), "embeddings must be at least 1x1, got shape (0, 3)"),
+        ([[1.0, 0.0], [0.0, np.inf]], "embeddings must be finite"),
+    ])
+    def test_input_checks(self, embeddings, message):
+        with pytest.raises(ValidationError) as info:
+            cosine_similarity_matrix(embeddings)
+        assert str(info.value) == message
+
     def test_zero_norm_rejected(self):
         with pytest.raises(DegenerateInputError):
             cosine_similarity_matrix([[1.0, 0.0], [0.0, 0.0]])
