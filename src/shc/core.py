@@ -37,8 +37,8 @@ CODES_MAGIC = b"SHCD"
 
 _U32X2 = struct.Struct("<II")
 
-# Tolerance within which a parsed similarity matrix may deviate from
-# symmetry, a unit diagonal and [-1, 1] before it is snapped exactly.
+# Tolerance within which the values given to SimilarityMatrix may deviate
+# from symmetry, a unit diagonal and [-1, 1] before they are snapped exactly.
 SNAP_TOL = 1e-9
 
 
@@ -157,44 +157,41 @@ class CenterSet:
         return f"CenterSet(C={self.C}, q={self.q})"
 
 
-def _square_finite(values) -> np.ndarray:
-    """``values`` as a float64 array, checked to be a non-empty, square, finite similarity matrix."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatchError(f"similarity matrix must be square, got shape {arr.shape}")
-    if arr.shape[0] < 1:
-        raise ValidationError("similarity matrix needs at least one class")
-    if not np.isfinite(arr).all():
-        raise ValidationError("similarity entries must be finite")
-    return arr
+def _symmetrize(arr, out=None) -> np.ndarray:
+    """Average a square matrix with its transpose, clip to [-1, 1], set a unit diagonal.
+
+    The result is built in ``out`` (a new array by default), made read-only
+    and kept, not copied.  Addition commutes bit for bit, signed zeros
+    included, so the result is bitwise symmetric.
+    """
+    sym = np.add(arr, arr.T, out=out)
+    np.divide(sym, 2.0, out=sym)
+    np.clip(sym, -1.0, 1.0, out=sym)
+    np.fill_diagonal(sym, 1.0)
+    sym.flags.writeable = False
+    return sym
 
 
 class SimilarityMatrix:
     """Symmetric C x C matrix of inter-class similarities in [-1, 1], unit diagonal.
 
-    The constructor enforces the invariants exactly; use :meth:`snap` to
-    build one from nearly-symmetric data (e.g. a parsed file) within
-    :data:`SNAP_TOL`.
+    The constructor takes a finite, square matrix that is symmetric, has a
+    unit diagonal and lies in [-1, 1], each within :data:`SNAP_TOL`, and
+    snaps it exactly: averaged with its transpose, clipped and given a unit
+    diagonal.  So every instance is bitwise symmetric, signed zeros too.
     """
 
     __slots__ = ("values",)
 
     def __init__(self, values):
-        arr = _square_finite(values)
-        if not np.array_equal(arr, arr.T):
-            raise ValidationError("similarity matrix must be exactly symmetric")
-        if not (np.diag(arr) == 1.0).all():
-            raise ValidationError("similarity diagonal must equal 1 exactly")
-        if arr.max() > 1.0 or arr.min() < -1.0:
-            raise ValidationError("similarity entries must lie in [-1, 1]")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        self.values = arr
-
-    @classmethod
-    def snap(cls, values) -> "SimilarityMatrix":
-        """Validate near-symmetry/diagonal within :data:`SNAP_TOL`, then snap exactly."""
-        arr = _square_finite(values)
+        arr = np.asarray(values, dtype=np.float64)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise DimensionMismatchError(f"similarity matrix must be square, got shape {arr.shape}")
+        if arr.shape[0] < 1:
+            raise ValidationError("similarity matrix needs at least one class")
+        if not np.isfinite(arr).all():
+            raise ValidationError("similarity entries must be finite")
+        # the asymmetry is measured in the one buffer that S is then snapped into and kept in
         buf = np.subtract(arr, arr.T)
         asym = np.abs(buf, out=buf).max()
         if asym > SNAP_TOL:
@@ -205,24 +202,17 @@ class SimilarityMatrix:
         overflow = max(0.0, max(float(arr.max()), -float(arr.min())) - 1.0)
         if overflow > SNAP_TOL:
             raise ValidationError(f"similarity entries exceed [-1, 1] by {overflow:g} (> {SNAP_TOL:g})")
-        return cls._symmetrized(arr, out=buf)
+        self.values = _symmetrize(arr, out=buf)
 
     @classmethod
-    def _symmetrized(cls, arr, out=None) -> "SimilarityMatrix":
-        """Average a square matrix with its transpose, clip to [-1, 1], set a unit diagonal.
+    def _symmetrized(cls, arr) -> "SimilarityMatrix":
+        """The constructor's snap of a square matrix of finite entries, with none of its checks.
 
-        The result is built in ``out`` (a new array by default) and kept, not
-        copied.  Every caller hands in finite entries, so it meets the
-        constructor's rules by construction: exactly symmetric, a unit
-        diagonal and entries in [-1, 1].
+        Stage 1 hands in its normalized class-mean rows or cosines, which
+        need not be near-symmetric: averaging them is this step's job.
         """
-        sym = np.add(arr, arr.T, out=out)
-        np.divide(sym, 2.0, out=sym)
-        np.clip(sym, -1.0, 1.0, out=sym)
-        np.fill_diagonal(sym, 1.0)
-        sym.flags.writeable = False
         matrix = cls.__new__(cls)
-        matrix.values = sym
+        matrix.values = _symmetrize(arr)
         return matrix
 
     @property

@@ -10,6 +10,16 @@ from .core import InfeasibleError, ValidationError
 __all__ = ["compute_min_distance"]
 
 
+def _check_code_space(q: int, C: int) -> None:
+    """Check that q >= 1, C >= 1 and that C distinct codewords fit in {-1,+1}^q."""
+    if q < 1:
+        raise ValidationError(f"code length must be positive, got {q}")
+    if C < 1:
+        raise ValidationError(f"class count must be positive, got {C}")
+    if C > 2**q:
+        raise InfeasibleError(f"{C} classes do not fit in {{-1,+1}}^{q} ({2**q} codewords)")
+
+
 def compute_min_distance(q: int, C: int) -> int:
     """Smallest d in {1..q} such that 2^q <= C * sum_{i<d} binom(q, i).
 
@@ -17,12 +27,7 @@ def compute_min_distance(q: int, C: int) -> int:
     returned.  Raises :class:`InfeasibleError` when C > 2^q, i.e. there are
     not even C distinct codewords of length q.
     """
-    if q < 1:
-        raise ValidationError(f"code length must be positive, got {q}")
-    if C < 1:
-        raise ValidationError(f"class count must be positive, got {C}")
-    if C > 2**q:
-        raise InfeasibleError(f"{C} classes do not fit in {{-1,+1}}^{q} ({2**q} codewords)")
+    _check_code_space(q, C)
     if C == 1:
         return q
     total = 2**q

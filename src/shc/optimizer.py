@@ -11,9 +11,10 @@ similarity loss ||S - (1/q) H^T H||_F^2 from that start one bit at a time,
 never bringing a pair below d.  :func:`quality_metrics` and
 :func:`violation_count` score a center set.
 
-Every function here takes S as a SimilarityMatrix or as an array within the
-similarity-file rules (finite, symmetric with a unit diagonal within SNAP_TOL,
-entries in [-1, 1]), which it snaps exactly; any other S is a ValidationError.
+Every function here takes S as a SimilarityMatrix, or as an array that the
+SimilarityMatrix constructor accepts and snaps (finite, symmetric with a unit
+diagonal and entries in [-1, 1], each within SNAP_TOL); any other S is a
+ValidationError.
 """
 
 import logging
@@ -23,7 +24,6 @@ import numpy as np
 from .core import (
     CenterSet,
     DimensionMismatchError,
-    InfeasibleError,
     ShcError,
     SimilarityMatrix,
     ValidationError,
@@ -32,6 +32,7 @@ from .core import (
     _pack_words,
     _unpack_words,
 )
+from .gv import _check_code_space
 
 __all__ = [
     "INIT_GREEDY",
@@ -59,12 +60,18 @@ _BLOCK_BYTES = 1 << 18
 def _similarity(S, C: int | None = None) -> SimilarityMatrix:
     """S as a :class:`SimilarityMatrix`, the one way into stage 2; with ``C`` given, check it is C x C.
 
-    Anything else passes only the similarity-file rules of :meth:`SimilarityMatrix.snap`.
+    An instance passes through untouched; anything else goes through the constructor's rules.
     """
-    sim = S if isinstance(S, SimilarityMatrix) else SimilarityMatrix.snap(S)
+    sim = S if isinstance(S, SimilarityMatrix) else SimilarityMatrix(S)
     if C is not None and sim.C != C:
         raise DimensionMismatchError(f"similarity is {sim.C}x{sim.C} but C={C}")
     return sim
+
+
+def _check_distance(d: int, q: int) -> None:
+    """Check that a distance target d lies in [1, q]."""
+    if not 1 <= d <= q:
+        raise ValidationError(f"d must lie in [1, {q}], got {d}")
 
 
 def _row_blocks(rows: int, row_bytes: int) -> list[slice]:
@@ -153,14 +160,8 @@ def init_centers(q: int, C: int, d: int, seed: int, method: str = INIT_GREEDY) -
     seeding uses the rows of a power-of-two Hadamard matrix and their
     complements (pairwise distance q/2 for up to 2q classes).
     """
-    if q < 1:
-        raise ValidationError(f"code length must be positive, got {q}")
-    if C < 1:
-        raise ValidationError(f"class count must be positive, got {C}")
-    if not 1 <= d <= q:
-        raise ValidationError(f"d must lie in [1, {q}], got {d}")
-    if C > 2**q:
-        raise InfeasibleError(f"{C} classes do not fit in {{-1,+1}}^{q} ({2**q} codewords)")
+    _check_code_space(q, C)
+    _check_distance(d, q)
 
     if method == INIT_HADAMARD:
         return _hadamard_centers(q, C, d)
@@ -278,8 +279,7 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
     """
     Sv = _similarity(S, centers.C).values
     C, q = centers.C, centers.q
-    if not 1 <= d <= q:
-        raise ValidationError(f"d must lie in [1, {q}], got {d}")
+    _check_distance(d, q)
     H = centers.matrix.astype(np.float64)
     HT = centers.matrix.T.astype(np.int16, order="C")  # column k of H as a contiguous row
     G = _gram(centers.matrix)  # exact integers, so a flip's step is exact too

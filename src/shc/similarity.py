@@ -49,7 +49,9 @@ log = logging.getLogger(__name__)
 # Working-memory budget of one logit chunk, and the most a chunk holds per
 # logit: 25.1-26.3 bytes by tracemalloc at C = 10 and 100 with either mask
 # (the parsed record with its 4-byte id, the kept logits, the softmax
-# output, the keep mask, the argmax).  stream_similarity's memory is the
+# output, the keep mask, the argmax).  A record's id, label and argmax do
+# not shrink with C, so a record is budgeted one logit more than it holds:
+# 81 bytes at C = 2, where it holds 62.  stream_similarity's memory is the
 # budget plus a few C x C arrays, whatever the record count; 256 KiB to
 # 16 MiB chunks all ran as fast as the whole-file path on 30k x 100 logits.
 LOGIT_CHUNK_BYTES = 1 << 20
@@ -79,7 +81,8 @@ def masked_softmax(logits, masked) -> np.ndarray:
     keep = np.ones((N, C), dtype=bool)
     keep[np.arange(N), masked] = False
     z = arr[keep].reshape(N, C - 1)
-    z -= z.max(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):  # kept logits spanning more than float64's range shift to -inf, exp 0
+        z -= z.max(axis=1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)
     out = np.zeros((N, C))
@@ -172,7 +175,7 @@ def build_similarity(labels, logits, mask: str = MASK_GROUND_TRUTH) -> Similarit
 def stream_similarity(source, mask: str = MASK_GROUND_TRUTH) -> SimilarityMatrix:
     """``build_similarity(*read_logits(source), mask=mask)``, reading the file in record chunks.
 
-    Each chunk holds at most ``LOGIT_CHUNK_BYTES // (LOGIT_BYTES_PER_VALUE * C)``
+    Each chunk holds at most ``LOGIT_CHUNK_BYTES // (LOGIT_BYTES_PER_VALUE * (C + 1))``
     records (at least one), so memory does not grow with the record count.
     The result and every diagnostic are those of the whole-file pipeline:
     a parse error anywhere wins, then the label range over all records,
@@ -181,7 +184,7 @@ def stream_similarity(source, mask: str = MASK_GROUND_TRUTH) -> SimilarityMatrix
     sums = _ClassSums(mask)
     with _open_stream(source, "r") as fh:
         (C,) = _read_header(fh, "logit", ("C",))
-        chunk_rows = max(1, LOGIT_CHUNK_BYTES // (LOGIT_BYTES_PER_VALUE * C))
+        chunk_rows = max(1, LOGIT_CHUNK_BYTES // (LOGIT_BYTES_PER_VALUE * (C + 1)))
         records = chunks = 0
         for rows in _logit_rows(fh, C, chunk_rows):
             sums.add(rows["label"], rows["values"])
@@ -317,10 +320,8 @@ def write_similarity(matrix: SimilarityMatrix, sink) -> None:
     """Write a similarity matrix: first line C, then C comma-separated rows.
 
     The bytes are those of ``np.savetxt(fh, values, fmt="%.17g", delimiter=",")``.
-    S is symmetric, so each upper-triangle entry is formatted once; its text
-    is kept for the mirror entry, which is written with its later row.
-    Mirror entries can differ only as 0.0 against -0.0, and those are
-    written by their own sign.
+    S is bitwise symmetric, so each upper-triangle entry is formatted once;
+    its text is kept for the mirror entry, which is written with its later row.
     """
     values = matrix.values
     C = matrix.C
@@ -330,15 +331,12 @@ def write_similarity(matrix: SimilarityMatrix, sink) -> None:
         for i in range(C):
             own = [b"%.17g" % v for v in values[i, i:].tolist()]
             mirror[i + 1:, i] = own[1:]
-            lower = mirror[i, :i].tolist()
-            for j in np.flatnonzero(np.signbit(values[i, :i]) != np.signbit(values[:i, i])):
-                lower[j] = b"-0" if np.signbit(values[i, j]) else b"0"
-            fh.write(b",".join(lower + own).decode() + "\n")
+            fh.write(b",".join(mirror[i, :i].tolist() + own).decode() + "\n")
 
 
 def read_similarity(source) -> SimilarityMatrix:
-    """Read a similarity matrix file; validates within ``SNAP_TOL`` and snaps exactly."""
+    """Read a similarity matrix file into a :class:`SimilarityMatrix`, which snaps it within ``SNAP_TOL``."""
     with _open_stream(source, "r") as fh:
         (C,) = _read_header(fh, "similarity", ("",))
         (rows,) = _read_table(fh, "similarity file", C, count=C)
-    return SimilarityMatrix.snap(rows["values"])
+    return SimilarityMatrix(rows["values"])

@@ -73,10 +73,15 @@ def normalize_row(row) -> np.ndarray:
 def symmetrize_and_unit_diag(rows) -> SimilarityMatrix:
     """Average a square matrix with its transpose, clip to [-1, 1] and set a unit diagonal.
 
-    The result goes through the checking constructor, which accepts only an
-    exactly symmetric matrix with a unit diagonal.
+    The result must be exactly symmetric (signed zeros too), with a unit
+    diagonal and entries in [-1, 1], and the constructor must keep it bit
+    for bit.
     """
     arr = np.asarray(rows, dtype=np.float64)
     sym = np.clip((arr + arr.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(sym, 1.0)
-    return SimilarityMatrix(sym)
+    assert np.array_equal(sym, sym.T) and np.array_equal(np.signbit(sym), np.signbit(sym.T))
+    assert (np.diag(sym) == 1.0).all() and np.abs(sym).max() <= 1.0
+    matrix = SimilarityMatrix(sym)
+    assert matrix.values.tobytes() == sym.tobytes()
+    return matrix

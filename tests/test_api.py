@@ -5,13 +5,13 @@ import importlib
 import pytest
 
 import shc
-from shc.core import CodeDatabase
+from shc.core import CodeDatabase, SimilarityMatrix
 
 MODULES = ["cli", "core", "similarity", "gv", "optimizer", "evaluation", "losses"]
 
 # Second doors to the package's kernels that only tests called (and, below,
-# CodeDatabase.record); the tests check those kernels directly and against
-# tests/oracles.py.
+# CodeDatabase.record and SimilarityMatrix.snap); the tests check those
+# kernels directly and against tests/oracles.py.
 REMOVED = [
     "hamming_distance",
     "inner_product",
@@ -45,3 +45,8 @@ def test_removed_names_are_gone(name):
 
 def test_code_database_has_no_record_method():
     assert not hasattr(CodeDatabase, "record")
+
+
+def test_similarity_matrix_has_no_snap_method():
+    # the constructor snaps, as every similarity file and stage-2 array input did through snap
+    assert not hasattr(SimilarityMatrix, "snap")

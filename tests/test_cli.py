@@ -245,6 +245,9 @@ class TestCenters:
         write_similarity(S, path)
         assert main(["centers", "--sim", str(path), "--bits", "2",
                      "--out", str(tmp_path / "x.bin")]) == 2
+        # a --min-dist beyond the code length does not hide that the classes do not fit
+        assert main(["centers", "--sim", str(path), "--bits", "2", "--min-dist", "5",
+                     "--out", str(tmp_path / "x.bin")]) == 2
 
 
 class TestInspect:
@@ -397,6 +400,13 @@ class TestEntryPoint:
         proc = run_python(["-m", "shc", "gvbound", "--bits", "64", "--classes", "555"])
         assert proc.returncode == 0
         assert proc.stdout.strip() == "21"
+
+    def test_logits_beyond_float64_range_leave_stderr_empty(self, tmp_path):
+        # the kept logits 1e308 and -1e308 overflow the softmax shift to -inf, whose exp is the limit 0
+        logits = tmp_path / "logits.txt"
+        logits.write_text("C=3\na,2,1e308,-1e308,0\nb,0,0,1,2\nc,1,2,0,1\n", encoding="utf-8")
+        proc = run_python(["-m", "shc", "simmatrix", "--logits", str(logits), "--out", str(tmp_path / "s.txt")])
+        assert (proc.returncode, proc.stderr) == (0, "")
 
     def test_cli_import_leaves_scipy_out(self):
         proc = run_python(["-c", "import sys, shc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])

@@ -286,17 +286,31 @@ class TestSimilarityMatrix:
         with pytest.raises(DimensionMismatchError):
             SimilarityMatrix([[1.0, 0.0]])
 
-    def test_snap_within_tolerance(self):
-        m = SimilarityMatrix.snap([[1.0 + 5e-10, 0.2], [0.2 + 4e-10, 1.0]])
+    def test_snaps_within_tolerance(self):
+        m = SimilarityMatrix([[1.0 + 5e-10, 0.2], [0.2 + 4e-10, 1.0]])
         assert np.array_equal(m.values, m.values.T)
         assert (np.diag(m.values) == 1.0).all()
+        assert m.values[0, 1] == (0.2 + (0.2 + 4e-10)) / 2
 
-    def test_snap_rejects_beyond_tolerance(self):
-        with pytest.raises(ValidationError):
-            SimilarityMatrix.snap([[1.0, 0.2], [0.21, 1.0]])
+    @pytest.mark.parametrize("values, message", [
+        ([[1.0, 0.2], [0.21, 1.0]], "similarity matrix asymmetry 0.01 exceeds tolerance 1e-09"),
+        ([[1.0, 0.2], [0.2, 1.0 - 2e-9]], "similarity diagonal deviates from 1 by 2e-09 (> 1e-09)"),
+        ([[1.0, 1.0 + 2e-9], [1.0 + 2e-9, 1.0]], "similarity entries exceed [-1, 1] by 2e-09 (> 1e-09)"),
+    ])
+    def test_rejects_beyond_tolerance(self, values, message):
+        with pytest.raises(ValidationError) as info:
+            SimilarityMatrix(values)
+        assert str(info.value) == message
+
+    def test_valid_matrix_is_kept_bit_for_bit(self):
+        values = np.random.default_rng(1).uniform(-1.0, 1.0, (7, 7))
+        values = np.triu(values, 1) + np.triu(values, 1).T + np.eye(7)
+        m = SimilarityMatrix(values)
+        assert m.values.tobytes() == values.tobytes()
+        assert not np.shares_memory(m.values, values)
 
     @pytest.mark.parametrize("dtype, bound", [(np.float64, 1.2), (np.float32, 2.2)])
-    def test_snap_holds_one_buffer(self, dtype, bound):
+    def test_holds_one_buffer(self, dtype, bound):
         # the asymmetry is measured in the buffer that S is then symmetrized into and kept in;
         # a float32 input adds its float64 conversion
         C = 400
@@ -305,7 +319,7 @@ class TestSimilarityMatrix:
         np.fill_diagonal(values, 1.0)
         tracemalloc.start()
         try:
-            SimilarityMatrix.snap(values)
+            SimilarityMatrix(values)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -319,10 +333,6 @@ class TestSimilarityMatrix:
         with pytest.raises(ValidationError) as info:
             SimilarityMatrix(values)
         assert str(info.value) == message
-
-    def test_snap_rejects_empty(self):
-        with pytest.raises(ValidationError, match="at least one class"):
-            SimilarityMatrix.snap(np.zeros((0, 0)))
 
     def test_immutable(self):
         m = SimilarityMatrix([[1.0, 0.5], [0.5, 1.0]])

@@ -8,6 +8,7 @@ from shc import optimizer
 from shc.core import (
     CenterSet,
     InfeasibleError,
+    ShcError,
     SimilarityMatrix,
     ValidationError,
     _hamming,
@@ -171,6 +172,35 @@ class TestInitCenters:
         with pytest.raises(ValidationError) as info:
             init_centers(q, C, d, seed=0)
         assert str(info.value) == message
+
+    # (q, C) outside the code space, and the error both entry points raise for it; init_centers
+    # is asked for d = q + 1, so the rule is seen to come before the distance check
+    @pytest.mark.parametrize("q, C, error, message", [
+        (0, 2, ValidationError, "code length must be positive, got 0"),
+        (-3, 0, ValidationError, "code length must be positive, got -3"),
+        (8, 0, ValidationError, "class count must be positive, got 0"),
+        (8, -1, ValidationError, "class count must be positive, got -1"),
+        (1, 3, InfeasibleError, "3 classes do not fit in {-1,+1}^1 (2 codewords)"),
+        (8, 257, InfeasibleError, "257 classes do not fit in {-1,+1}^8 (256 codewords)"),
+    ])
+    @pytest.mark.parametrize("entry", ["compute_min_distance", "init_centers"])
+    def test_one_code_space_rule(self, entry, q, C, error, message):
+        with pytest.raises(ShcError) as info:
+            if entry == "compute_min_distance":
+                compute_min_distance(q, C)
+            else:
+                init_centers(q, C, q + 1, seed=0)
+        assert (type(info.value), str(info.value)) == (error, message)
+
+    @pytest.mark.parametrize("d", [-1, 0, 9, 100])
+    @pytest.mark.parametrize("entry", ["init_centers", "descend"])
+    def test_one_distance_rule(self, entry, d):
+        with pytest.raises(ValidationError) as info:
+            if entry == "init_centers":
+                init_centers(8, 4, d, seed=0)
+            else:
+                descend(np.eye(4), init_centers(8, 4, 2, seed=0), d)
+        assert str(info.value) == f"d must lie in [1, 8], got {d}"
 
     def test_hadamard_warns_once_when_d_exceeds_half_q(self, caplog):
         with caplog.at_level(logging.WARNING, logger="shc.optimizer"):
@@ -658,20 +688,22 @@ class TestSimilarityGate:
         S = random_similarity(np.random.default_rng(3), GATE_C)
         near = S + np.random.default_rng(4).uniform(-1e-12, 1e-12, S.shape)
         near[0, 1], near[1, 0] = 1.0 + 1e-12, 1.0
-        assert not np.array_equal(near, SimilarityMatrix.snap(near).values)
-        assert plain(gate_call(name, near)) == plain(gate_call(name, SimilarityMatrix.snap(near)))
+        assert not np.array_equal(near, SimilarityMatrix(near).values)
+        assert plain(gate_call(name, near)) == plain(gate_call(name, SimilarityMatrix(near)))
 
-    def test_optimize_snaps_a_raw_array_once(self, monkeypatch):
+    def test_optimize_validates_a_raw_array_once(self, monkeypatch):
         calls = []
-        snap = SimilarityMatrix.snap.__func__
+        init = SimilarityMatrix.__init__
 
-        def counted(cls, values):
+        def counted(self, values):
             calls.append(1)
-            return snap(cls, values)
+            init(self, values)
 
-        monkeypatch.setattr(SimilarityMatrix, "snap", classmethod(counted))
+        monkeypatch.setattr(SimilarityMatrix, "__init__", counted)
         S = random_similarity(np.random.default_rng(3), GATE_C)
         optimize(S, GATE_Q, GATE_D, GATE_HP, seed=7)
         assert len(calls) == 1
-        optimize(SimilarityMatrix(S), GATE_Q, GATE_D, GATE_HP, seed=7)
-        assert len(calls) == 1
+        sim = SimilarityMatrix(S)
+        assert len(calls) == 2
+        optimize(sim, GATE_Q, GATE_D, GATE_HP, seed=7)
+        assert len(calls) == 2

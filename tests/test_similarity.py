@@ -79,6 +79,10 @@ class TestMaskedSoftmax:
     def test_single_unmasked_entry(self):
         assert_allclose(masked_softmax([[5.0, -1000.0]], [0]), [[0.0, 1.0]])
 
+    def test_kept_logits_beyond_float64_range(self):
+        # 1e308 - (-1e308) overflows to -inf in the shift, whose exp is exactly the limit 0
+        assert masked_softmax([[1e308, -1e308, 0.0]], [2]).tolist() == [[1.0, 0.0, 0.0]]
+
     def test_masked_entry_exactly_zero_and_sums_to_one(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
@@ -226,7 +230,61 @@ class TestSymmetrize:
 
     def test_non_square(self):
         with pytest.raises(DimensionMismatchError):
-            SimilarityMatrix.snap([[0.1, 0.2, 0.3], [0.1, 0.2, 0.3]])
+            SimilarityMatrix([[0.1, 0.2, 0.3], [0.1, 0.2, 0.3]])
+
+
+def near_valid(rng, C):
+    """A symmetric S with a unit diagonal moved within SNAP_TOL, with 0.0 mirrored by -0.0 and -0.0 by -0.0."""
+    S = rng.uniform(-1.0, 1.0, (C, C))
+    S = (S + S.T) / 2
+    S[1, -1] = S[-1, 1] = 1.0
+    np.fill_diagonal(S, 1.0)
+    S += rng.uniform(-5e-10, 5e-10, (C, C))
+    S[0, 1], S[1, 0] = 0.0, -0.0
+    S[0, -1] = S[-1, 0] = -0.0
+    return S
+
+
+def logit_file(labels, logits) -> str:
+    rows = (f"r{i},{label}," + ",".join(f"{v:.17g}" for v in row) for i, (label, row) in
+            enumerate(zip(labels, logits)))
+    return f"C={logits.shape[1]}\n" + "\n".join(rows) + "\n"
+
+
+def sim_file(S) -> str:
+    rows = (",".join(f"{v:.17g}" for v in row) for row in S)
+    return f"{len(S)}\n" + "\n".join(rows) + "\n"
+
+
+def orthogonal_embeddings(rng, C):
+    """Embeddings with exact zero (and -0.0) cosines between some classes."""
+    emb = rng.normal(size=(C, 6))
+    emb[:3] = [[-1.0, 0, 0, 0, 0, 0], [0, -1.0, 0, 0, 0, 0], [0, 0, 0, 0, 0, -2.0]]
+    return emb
+
+
+PRODUCERS = {
+    "constructor": lambda rng, C: SimilarityMatrix(near_valid(rng, C)),
+    "build_similarity": lambda rng, C: build_similarity(*synthetic_logits(rng, C, 3)),
+    "stream_similarity": lambda rng, C: similarity.stream_similarity(
+        io.StringIO(logit_file(*synthetic_logits(rng, C, 3)))),
+    "cosine_similarity_matrix": lambda rng, C: cosine_similarity_matrix(orthogonal_embeddings(rng, C)),
+    "read_similarity": lambda rng, C: read_similarity(io.StringIO(sim_file(near_valid(rng, C)))),
+}
+
+
+class TestEveryProducer:
+    """Every way to make an S gives one bitwise symmetric, with a unit diagonal, in [-1, 1]."""
+
+    @pytest.mark.parametrize("C", [3, 4, 17])
+    @pytest.mark.parametrize("name", sorted(PRODUCERS))
+    def test_invariants_hold_bit_for_bit(self, name, C):
+        values = PRODUCERS[name](np.random.default_rng(C), C).values
+        assert values.tobytes() == values.T.tobytes(order="C")
+        assert np.array_equal(np.signbit(values), np.signbit(values.T))
+        assert (np.diag(values) == 1.0).all()
+        assert np.abs(values).max() <= 1.0
+        assert not values.flags.writeable
 
 
 class TestBuildSimilarity:

@@ -28,7 +28,7 @@ MASKS = (MASK_GROUND_TRUTH, MASK_ARGMAX)
 
 def chunk_budget(rows: int, C: int) -> int:
     """A LOGIT_CHUNK_BYTES that gives ``rows`` records per chunk at C classes."""
-    return rows * similarity.LOGIT_BYTES_PER_VALUE * C
+    return rows * similarity.LOGIT_BYTES_PER_VALUE * (C + 1)
 
 
 def outcome(build):
@@ -233,6 +233,36 @@ class TestBoundedMemory:
         # the whole file as float64 alone would be 1.28 MB at 8000 records
         assert peaks[8000] < 8000 * C * 8 / 2
 
+    @pytest.mark.parametrize("mask", MASKS)
+    @pytest.mark.parametrize("C", [2, 3, 100])
+    def test_one_chunk_stays_within_its_budget(self, C, mask, tmp_path, monkeypatch):
+        # a record's id, label and argmax do not shrink with C, so at small C it holds
+        # well over LOGIT_BYTES_PER_VALUE per logit
+        n = similarity.LOGIT_CHUNK_BYTES // (similarity.LOGIT_BYTES_PER_VALUE * C) + 1  # two chunks or more
+        path = tmp_path / "logits.txt"
+        rng = np.random.default_rng(C)
+        path.write_text(logit_text(np.arange(n) % C, rng.normal(0.0, 3.0, (n, C))), encoding="utf-8")
+        sizes, add = [], similarity._ClassSums.add
+        with monkeypatch.context() as patch:
+            patch.setattr(similarity._ClassSums, "add", lambda sums, labels, logits: (
+                sizes.append(len(labels)), add(sums, labels, logits)))
+            stream_similarity(path, mask=mask)  # also warms numpy's text reader
+        assert len(sizes) >= 2
+        # the first chunk as stream_similarity reads and adds it, beside sums made beforehand
+        with open(path, encoding="utf-8") as fh:
+            (header_C,) = similarity._read_header(fh, "logit", ("C",))
+            sums = similarity._ClassSums(mask)
+            sums.add(np.zeros(0, dtype=np.int64), np.zeros((0, C)))
+            tracemalloc.start()
+            try:
+                chunk = next(similarity._logit_rows(fh, header_C, sizes[0]))
+                sums.add(chunk["label"], chunk["values"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(chunk) == sizes[0]
+        assert peak <= similarity.LOGIT_CHUNK_BYTES
+
 
 class TestStreamPlanLog:
     @pytest.mark.parametrize("rows, chunks, shown", [(5, 5, 5), (23, 1, 23), (1 << 30, 1, 23)])
@@ -264,9 +294,13 @@ class TestWriteSimilarity:
         np.savetxt(want, S.values, fmt="%.17g", delimiter=",")
         assert got.getvalue() == want.getvalue()
 
-    def test_signed_zeros_keep_their_sign(self):
-        # exactly symmetric by value, but 0.0 mirrors -0.0
-        values = np.array([[1.0, 0.0, -0.0], [-0.0, 1.0, 0.5], [0.0, 0.5, 1.0]])
-        got = io.StringIO()
-        write_similarity(SimilarityMatrix(values), got)
-        assert got.getvalue() == "3\n1,0,-0\n-0,1,0.5\n0,0.5,1\n"
+    def test_mirrored_signed_zeros_are_written_as_savetxt_writes_them(self):
+        # 0.0 mirrored by -0.0 becomes +0.0 both ways; -0.0 mirrored by -0.0 stays -0.0
+        values = np.array([[1.0, 0.0, -0.0], [-0.0, 1.0, 0.5], [-0.0, 0.5, 1.0]])
+        S = SimilarityMatrix(values)
+        assert np.signbit(S.values).tolist() == [[False, False, True], [False, False, False], [True, False, False]]
+        got, want = io.StringIO(), io.StringIO()
+        write_similarity(S, got)
+        want.write("3\n")
+        np.savetxt(want, S.values, fmt="%.17g", delimiter=",")
+        assert got.getvalue() == want.getvalue() == "3\n1,0,-0\n0,1,0.5\n-0,0.5,1\n"
