@@ -249,6 +249,8 @@ class CodeDatabase:
             )
         if label_arr.size and (not np.issubdtype(label_arr.dtype, np.integer) or label_arr.min() < 0):
             raise ValidationError("labels must be nonnegative integers")
+        if label_arr.size and int(label_arr.max()) > np.iinfo(np.int64).max:  # uint64 labels int64 cannot hold
+            raise ValidationError(f"labels must be below 2**63, got {int(label_arr.max())}")
         label_arr = label_arr.astype(np.int64)
         label_arr.flags.writeable = False
         self.labels = label_arr
@@ -389,8 +391,11 @@ def read_centers(source) -> CenterSet:
 def write_codes(db: CodeDatabase, sink) -> None:
     """Write a code database: magic ``SHCD`` | u32 N | u32 q | N records.
 
-    Each record is u32 label followed by the packed code row.
+    Each record is u32 label followed by the packed code row, so every
+    label must be below 2**32; a larger one raises before anything is written.
     """
+    if len(db) and int(db.labels.max()) > np.iinfo(np.uint32).max:
+        raise ValidationError(f"code file labels must be below 2**32, got {int(db.labels.max())}")
     with _open_stream(sink, "wb") as fh:
         fh.write(CODES_MAGIC)
         fh.write(_U32X2.pack(len(db), db.q))

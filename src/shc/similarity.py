@@ -31,7 +31,6 @@ __all__ = [
     "build_similarity",
     "stream_similarity",
     "cosine_similarity_matrix",
-    "read_logits",
     "read_embeddings",
     "read_similarity",
     "write_similarity",
@@ -173,20 +172,25 @@ def build_similarity(labels, logits, mask: str = MASK_GROUND_TRUTH) -> Similarit
 
 
 def stream_similarity(source, mask: str = MASK_GROUND_TRUTH) -> SimilarityMatrix:
-    """``build_similarity(*read_logits(source), mask=mask)``, reading the file in record chunks.
+    """S from a logit file: ``C=<int>``, then one ``id,label,logit_0,...`` line per record.
 
-    Each chunk holds at most ``LOGIT_CHUNK_BYTES // (LOGIT_BYTES_PER_VALUE * (C + 1))``
-    records (at least one), so memory does not grow with the record count.
-    The result and every diagnostic are those of the whole-file pipeline:
-    a parse error anywhere wins, then the label range over all records,
-    then a missing class, non-finite logits and C < 2.
+    The id column is required and ignored; labels are integers in [0, C).
+    The file is read in record chunks of at most
+    ``LOGIT_CHUNK_BYTES // (LOGIT_BYTES_PER_VALUE * (C + 1))`` records (at
+    least one), so memory does not grow with the record count.
+    Neither S nor the diagnostic depends on the chunking: a parse error
+    anywhere wins, then the label range over all records, then a missing
+    class, non-finite logits and C < 2.
     """
     sums = _ClassSums(mask)
     with _open_stream(source, "r") as fh:
         (C,) = _read_header(fh, "logit", ("C",))
         chunk_rows = max(1, LOGIT_CHUNK_BYTES // (LOGIT_BYTES_PER_VALUE * (C + 1)))
         records = chunks = 0
-        for rows in _logit_rows(fh, C, chunk_rows):
+        # The ignored id is read as one character, which numpy's reader
+        # truncates to: any id parses, and no Python code runs per record.
+        head = [("id", "U1"), ("label", "<i8")]
+        for rows in _read_table(fh, "logit file", 2 + C, head=head, chunk_rows=chunk_rows):
             sums.add(rows["label"], rows["values"])
             records, chunks = records + len(rows), chunks + 1
     log.info("stream_similarity: %d records in %d chunks of up to %d rows (%d B per logit, %d B per chunk, "
@@ -278,42 +282,12 @@ def _read_table(fh, what: str, width: int, count=None, head=(), chunk_rows=None)
         raise FormatError(f"{what}: expected {count} rows, got {done}")
 
 
-def _logit_rows(fh, C: int, chunk_rows=None):
-    """The ``id,label,logit_0,...`` records after a logit file's header, as _read_table chunks.
-
-    The ignored id is read as one character, which numpy's reader truncates
-    to: any id parses, and no Python code runs per record.
-    """
-    return _read_table(fh, "logit file", 2 + C, head=[("id", "U1"), ("label", "<i8")], chunk_rows=chunk_rows)
-
-
-def read_logits(source) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a logit file into (N,) labels and (N, C) logits.
-
-    The first line is ``C=<int>``, then one ``id,label,logit_0,...`` line
-    per record; the id column is required and ignored, and labels are
-    integers in [0, C).  Logits are checked for finiteness once, by
-    :func:`masked_softmax`.  This holds the whole file in memory;
-    :func:`stream_similarity` builds S from a logit file chunk by chunk.
-    """
-    with _open_stream(source, "r") as fh:
-        (C,) = _read_header(fh, "logit", ("C",))
-        (rows,) = _logit_rows(fh, C)
-    labels = rows["label"]
-    if labels.min() < 0 or labels.max() >= C:
-        raise FormatError(f"logit file: labels must lie in [0, {C}), got {labels.min()}..{labels.max()}")
-    return labels, rows["values"]
-
-
 def read_embeddings(source) -> np.ndarray:
     """Parse an embedding file: ``C=<int>,D=<int>`` then C rows of D reals."""
     with _open_stream(source, "r") as fh:
         C, D = _read_header(fh, "embedding", ("C", "D"))
         (rows,) = _read_table(fh, "embedding file", D, count=C)
-        rows = rows["values"]
-        if not np.isfinite(rows).all():
-            raise FormatError("embedding file: non-finite value")
-    return rows
+    return rows["values"]
 
 
 def write_similarity(matrix: SimilarityMatrix, sink) -> None:

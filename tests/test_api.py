@@ -20,6 +20,9 @@ REMOVED = [
     "average_precision",
     "normalize_row",
     "symmetrize_and_unit_diag",
+    # the whole-file logit reader: stream_similarity is the one way from a logit file to S
+    "read_logits",
+    "_logit_rows",
 ]
 
 

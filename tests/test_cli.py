@@ -27,8 +27,8 @@ from shc.core import (
 from shc.similarity import (
     cosine_similarity_matrix,
     read_embeddings,
-    read_logits,
     read_similarity,
+    stream_similarity,
     write_similarity,
 )
 from shc.gv import compute_min_distance
@@ -130,6 +130,16 @@ class TestSimMatrix:
 
         S = read_similarity(out)
         assert abs(S.values[0, 1] - 0.7071067811865475) < 1e-12
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_embedding_exits_1(self, value, tmp_path, capsys):
+        # the reader only parses; the cosine stage rejects the value, as stage 1 does a logit
+        emb = tmp_path / "emb.txt"
+        emb.write_text(f"C=2,D=2\n1,0\n{value},1\n", encoding="utf-8")
+        out = tmp_path / "sim.txt"
+        assert main(["simmatrix", "--embeddings", str(emb), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "shc: error: embeddings must be finite\n"
+        assert not out.exists()
 
     def test_bad_file_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -526,7 +536,7 @@ HOSTILE_READERS = {
     "codes": read_codes,
     "similarity": read_similarity,
     "embeddings": read_embeddings,
-    "logits": read_logits,
+    "logits": stream_similarity,
 }
 
 
@@ -632,7 +642,7 @@ def header_file(path, kind, header, dims):
 
 def read_shape(kind, path):
     if kind == "logits":
-        return read_logits(path)[1].shape[1:]
+        return (stream_similarity(path).C,)
     if kind == "embeddings":
         return read_embeddings(path).shape
     return (read_similarity(path).C,)

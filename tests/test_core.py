@@ -265,6 +265,24 @@ class TestCodesIO:
         buf.seek(0)
         assert read_codes(buf) == db
 
+    def test_label_beyond_u32_raises_before_any_byte(self, tmp_path):
+        db = CodeDatabase([2**32 + 7, 5], np.ones((2, 8), dtype=np.int8))
+        buf = io.BytesIO()
+        with pytest.raises(ValidationError) as info:
+            write_codes(db, buf)
+        assert str(info.value) == "code file labels must be below 2**32, got 4294967303"
+        assert buf.getvalue() == b""
+        with pytest.raises(ValidationError):
+            write_codes(db, tmp_path / "db.shcd")
+        assert not (tmp_path / "db.shcd").exists()
+
+    def test_largest_u32_label_round_trips(self):
+        db = CodeDatabase([2**32 - 1, 0], np.ones((2, 8), dtype=np.int8))
+        buf = io.BytesIO()
+        write_codes(db, buf)
+        buf.seek(0)
+        assert read_codes(buf).labels.tolist() == [2**32 - 1, 0]
+
     def test_truncated_record(self):
         db = CodeDatabase([1], np.ones((1, 8), dtype=np.int8))
         buf = io.BytesIO()
@@ -381,6 +399,23 @@ class TestCenterSetAndDatabase:
             CodeDatabase([-1], np.ones((1, 4), dtype=np.int8))
         with pytest.raises(ValidationError):
             CodeDatabase(np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int8))
+
+    @pytest.mark.parametrize("label", [2**63 + 1, 2**63])
+    def test_database_rejects_labels_int64_cannot_hold(self, label):
+        # cast unchecked, 2**63 + 1 was stored as -9223372036854775807
+        with pytest.raises(ValidationError) as info:
+            CodeDatabase(np.array([label, 3], dtype=np.uint64), np.ones((2, 4), dtype=np.int8))
+        assert str(info.value) == f"labels must be below 2**63, got {label}"
+
+    def test_database_keeps_the_largest_int64_label(self):
+        db = CodeDatabase(np.array([2**63 - 1, 0], dtype=np.uint64), np.ones((2, 4), dtype=np.int8))
+        assert db.labels.tolist() == [2**63 - 1, 0]
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_center_set_rejects_an_empty_matrix(self, shape):
+        with pytest.raises(ValidationError) as info:
+            CenterSet(np.zeros(shape))
+        assert str(info.value) == f"center matrix must be at least 1x1, got shape {shape}"
 
     def test_database_rejects_2d_labels(self):
         with pytest.raises(ValidationError) as info:

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shc.core import ShcError, read_centers, read_codes
-from shc.similarity import read_embeddings, read_logits, read_similarity
+from shc.similarity import read_embeddings, read_similarity, stream_similarity
 
 TEXT_READERS = {
-    "logits": read_logits,
+    "logits": stream_similarity,
     "embeddings": read_embeddings,
     "similarity": read_similarity,
 }

@@ -18,13 +18,14 @@ from shc.core import (
 from shc import similarity
 from shc.similarity import (
     MASK_ARGMAX,
+    MASK_GROUND_TRUTH,
     build_similarity,
     class_similarity_rows,
     cosine_similarity_matrix,
     masked_softmax,
     read_embeddings,
-    read_logits,
     read_similarity,
+    stream_similarity,
     write_similarity,
 )
 
@@ -412,14 +413,14 @@ class TestCosine:
 
 
 class TestFiles:
-    def test_logits_round_trip(self):
+    @pytest.mark.parametrize("mask", [MASK_GROUND_TRUTH, MASK_ARGMAX])
+    def test_logits_round_trip(self, mask):
         # blank lines are skipped; the id column is free text and ignored
-        text = "C=2\nimg0,0,1.5,-2\n\nimg 1 (b),1,0,3.25\n"
-        labels, logits = read_logits(io.StringIO(text))
-        assert labels.tolist() == [0, 1]
-        assert logits.shape == (2, 2)
-        assert_allclose(logits[0], [1.5, -2.0])
-        assert_allclose(logits[1], [0.0, 3.25])
+        text = "C=3\nimg0,0,1.5,-2,0.25\n\nimg 1 (b),1,0,3.25,-1e-3\n \t\nx,2,4,5,0.5\nimg3,0,-1,2.5,3\n"
+        labels = [0, 1, 2, 0]
+        logits = [[1.5, -2.0, 0.25], [0.0, 3.25, -1e-3], [4.0, 5.0, 0.5], [-1.0, 2.5, 3.0]]
+        S = stream_similarity(io.StringIO(text), mask=mask)
+        assert S.values.tobytes() == build_similarity(labels, logits, mask=mask).values.tobytes()
 
     def test_logits_errors(self):
         for text in (
@@ -433,7 +434,7 @@ class TestFiles:
             "C=2\nimg0,0,abc,2.0\n",
         ):
             with pytest.raises(FormatError):
-                read_logits(io.StringIO(text))
+                stream_similarity(io.StringIO(text))
 
     def test_blank_lines_skipped(self):
         S = read_similarity(io.StringIO("2\n\n1,0.5\n \t\n0.5,1\n\n"))
@@ -448,17 +449,16 @@ class TestFiles:
             (read_similarity, "1\n1_0\n"),
             (read_embeddings, "C=1,D=2\n1_0,1\n"),
             (read_embeddings, "C=1,D=2\n\u0663,1\n"),
-            (read_logits, "C=2\nimg0,1_0,1.0,2.0\n"),
-            (read_logits, "C=2\nimg0,0,1_0,2.0\n"),
+            (stream_similarity, "C=2\nimg0,1_0,1.0,2.0\n"),
+            (stream_similarity, "C=2\nimg0,0,1_0,2.0\n"),
         ):
             with pytest.raises(FormatError):
                 reader(io.StringIO(text))
 
     def test_nonfinite_logits_rejected_once_parsed(self):
         for value in ("nan", "-inf"):
-            labels, logits = read_logits(io.StringIO(f"C=2\nimg0,0,1.0,2.0\nimg1,1,{value},2.0\n"))
             with pytest.raises(ValidationError):
-                build_similarity(labels, logits)
+                stream_similarity(io.StringIO(f"C=2\nimg0,0,1.0,2.0\nimg1,1,{value},2.0\n"))
 
     def test_similarity_round_trip(self):
         rng = np.random.default_rng(2)

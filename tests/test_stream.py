@@ -18,7 +18,6 @@ from shc.similarity import (
     MASK_GROUND_TRUTH,
     build_similarity,
     cosine_similarity_matrix,
-    read_logits,
     stream_similarity,
     write_similarity,
 )
@@ -52,10 +51,10 @@ class TestSameMatrix:
         C=st.integers(2, 6),
         extra=st.integers(0, 30),
         seed=st.integers(0, 2**32 - 1),
-        rows=st.sampled_from([1, 2, 3, 7, 1 << 30]),  # 1 row per chunk, a few rows, one chunk
+        rows=st.sampled_from([1, 2, 3, 7]),  # 1 row per chunk, a few rows
         mask=st.sampled_from(MASKS),
     )
-    def test_streamed_equals_whole_file_bit_for_bit(self, C, extra, seed, rows, mask):
+    def test_chunked_equals_one_chunk_bit_for_bit(self, C, extra, seed, rows, mask):
         rng = np.random.default_rng(seed)
         labels = np.concatenate([np.arange(C), rng.integers(0, C, extra)])
         rng.shuffle(labels)
@@ -63,19 +62,22 @@ class TestSameMatrix:
         text = logit_text(labels, logits)
         with mock.patch.object(similarity, "LOGIT_CHUNK_BYTES", chunk_budget(rows, C)):
             streamed = outcome(lambda: stream_similarity(io.StringIO(text), mask=mask))
-        assert streamed == outcome(lambda: build_similarity(*read_logits(io.StringIO(text)), mask=mask))
+        with mock.patch.object(similarity, "LOGIT_CHUNK_BYTES", chunk_budget(1 << 30, C)):
+            assert streamed == outcome(lambda: stream_similarity(io.StringIO(text), mask=mask))
+        # %.17g text holds the logits exactly, so the in-memory entry point agrees too
+        assert streamed == outcome(lambda: build_similarity(labels, logits, mask=mask))
 
     @pytest.mark.parametrize("mask", MASKS)
-    @pytest.mark.parametrize("rows", [1, 5, 1 << 30])
+    @pytest.mark.parametrize("rows", [1, 5])
     def test_cli_writes_the_same_bytes(self, rows, mask, tmp_path, monkeypatch):
         rng = np.random.default_rng(4)
         labels = rng.permutation(np.repeat(np.arange(5), 9))
         path = tmp_path / "logits.txt"
         path.write_text(logit_text(labels, rng.normal(0.0, 2.0, (labels.size, 5))), encoding="utf-8")
-        write_similarity(build_similarity(*read_logits(path), mask=mask), tmp_path / "whole.txt")
-        monkeypatch.setattr(similarity, "LOGIT_CHUNK_BYTES", chunk_budget(rows, 5))
-        assert main(["simmatrix", "--logits", str(path), "--mask", mask, "--out", str(tmp_path / "s.txt")]) == 0
-        assert (tmp_path / "s.txt").read_bytes() == (tmp_path / "whole.txt").read_bytes()
+        for name, budget in (("one-chunk.txt", 1 << 30), ("s.txt", rows)):
+            monkeypatch.setattr(similarity, "LOGIT_CHUNK_BYTES", chunk_budget(budget, 5))
+            assert main(["simmatrix", "--logits", str(path), "--mask", mask, "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "s.txt").read_bytes() == (tmp_path / "one-chunk.txt").read_bytes()
 
 
 # Fault files for the stream: C = 3, 40 records with labels i % 3, read 4
@@ -248,14 +250,16 @@ class TestBoundedMemory:
                 sizes.append(len(labels)), add(sums, labels, logits)))
             stream_similarity(path, mask=mask)  # also warms numpy's text reader
         assert len(sizes) >= 2
-        # the first chunk as stream_similarity reads and adds it, beside sums made beforehand
+        # the first chunk as stream_similarity reads (with its id and label fields) and adds it,
+        # beside sums made beforehand
         with open(path, encoding="utf-8") as fh:
             (header_C,) = similarity._read_header(fh, "logit", ("C",))
             sums = similarity._ClassSums(mask)
             sums.add(np.zeros(0, dtype=np.int64), np.zeros((0, C)))
+            head = [("id", "U1"), ("label", "<i8")]
             tracemalloc.start()
             try:
-                chunk = next(similarity._logit_rows(fh, header_C, sizes[0]))
+                chunk = next(similarity._read_table(fh, "logit file", 2 + header_C, head=head, chunk_rows=sizes[0]))
                 sums.add(chunk["label"], chunk["values"])
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
