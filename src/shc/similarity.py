@@ -71,6 +71,9 @@ def masked_softmax(logits, masked) -> np.ndarray:
     N, C = arr.shape
     if masked.shape != (N,):
         raise DimensionMismatchError(f"{masked.shape} masked indices for {N} logit rows")
+    if masked.size and not np.issubdtype(masked.dtype, np.integer):
+        raise ValidationError(f"masked indices must be integers, got dtype {masked.dtype}")
+    masked = masked.astype(np.intp, copy=False)  # an empty list is float64
     if not np.isfinite(arr).all():
         raise ValidationError("logits must be finite")
     if C < 2:
@@ -141,7 +144,10 @@ def class_similarity_rows(labels, logits, mask: str = MASK_GROUND_TRUTH) -> np.n
     label or its predicted (argmax) class.
     """
     sums = _ClassSums(mask)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
+    if labels.size and not np.issubdtype(labels.dtype, np.integer):  # as in CodeDatabase: no floats, bools, strings
+        raise ValidationError(f"labels must be integers, got dtype {labels.dtype}")
+    labels = labels.astype(np.int64)
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2 or labels.shape != logits.shape[:1]:
         raise DimensionMismatchError(f"labels of shape {labels.shape} for logits of shape {logits.shape}")
@@ -290,22 +296,102 @@ def read_embeddings(source) -> np.ndarray:
     return rows["values"]
 
 
+# write_similarity formats S's upper triangle once, packed row by row, in
+# blocks of whole rows of about this many bytes of cells, and writes each
+# block's rows once their cells are in.  Its traced peak is the triangle's
+# C(C+1)/2 cells plus about 8 blocks, the kernel's temporaries: 6.2 / 49.7
+# MiB at C = 600 / 2000.  Smaller blocks cost more numpy calls per entry.
+_WRITE_BLOCK_BYTES = 1 << 18
+# A formatted entry: the bytes of its %.17g text (at most 24) in order, with
+# NULs among them, then a comma.  The writer drops the NULs.
+_CELL = 25
+# 5**(17 + z) scales |v| in [10**-(z + 1), 10**-z) to its 17 significant digits.
+_POW5 = np.uint64(5) ** np.arange(17, 21, dtype=np.uint64)
+
+
+def _format_cells(values: np.ndarray) -> np.ndarray:
+    """``b"%.17g" % v`` of each double v of a 1-d array, as an (n, _CELL) uint8 array of cells.
+
+    %.17g writes |v| in [1e-4, 1) in fixed notation: "0.", z = 0..3 zeros,
+    then the 17 significant digits D = round(|v| * 10**(17 + z)) less their
+    trailing zeros.  With |v| = m / 2**k for its 53-bit significand m, D is
+    m * 5**(17 + z) / 2**(k - 17 - z) rounded half to even: a product of
+    under 100 bits, taken exactly in two uint64 limbs.  No double in that
+    range rounds up into the next decade, so D < 10**17.  ±0 and ±1 are a
+    sign and one digit; Python formats the rest (exponent notation,
+    subnormals).
+    """
+    a = np.abs(values)
+    fixed = (a >= 1e-4) & (a < 1.0)
+    unit = (a == 0.0) | (a == 1.0)
+    # Each of 1e-1, 1e-2, 1e-3 lies above the power of ten it rounds, so these compares are exact.
+    z = (a < 1e-1).view(np.uint8) + (a < 1e-2).view(np.uint8)
+    z += (a < 1e-3).view(np.uint8)
+    bits = np.where(fixed, a, 0.5).view(np.uint64)  # 0.5 keeps the shifts in range for the other entries
+    m = bits & (2**52 - 1) | 2**52
+    shift = 1058 - (bits >> 52) - z  # k - 17 - z: k is 1075 less the biased exponent
+    f = _POW5[z]
+    m_hi, m_lo, f_hi, f_lo = m >> 32, m & 0xFFFFFFFF, f >> 32, f & 0xFFFFFFFF
+    cross = m_lo * f_hi + m_hi * f_lo  # below 2**54
+    low_lo = m_lo * f_lo
+    low = low_lo + (cross << 32)  # mod 2**64: where it wraps, it carries into the high limb
+    high = m_hi * f_hi + (cross >> 32) + (low < low_lo)
+    D = high << (64 - shift) | low >> shift
+    half = 1 << (shift - 1)
+    rest = low & (2 * half - 1)
+    D += (rest > half) | (rest == half) & (D & 1 == 1)
+    cells = np.empty((_CELL, a.size), dtype=np.uint8)  # one row per byte; transposed on return
+    cells[0] = np.signbit(values) * np.uint8(ord("-"))
+    cells[1], cells[2] = ord("0"), ord(".")
+    for row in range(3):
+        cells[3 + row] = (z > row) * np.uint8(ord("0"))
+    significant = np.zeros(a.size, dtype=bool)  # this digit or one right of it is nonzero
+    D_hi = D // 10**9
+    # The low 9 digits go to byte rows 22..14 and the high 8 to rows 13..6, last digit first, in
+    # uint32: numpy divides it several times faster than uint64, and runs % slower than //.
+    for part, rows in ((D - D_hi * 10**9, range(22, 13, -1)), (D_hi, range(13, 5, -1))):
+        part = part.astype(np.uint32)
+        for row in rows:
+            tens = part // 10
+            digit = part - tens * 10
+            significant |= digit != 0
+            cells[row] = (digit + ord("0")) * significant
+            part = tens
+    cells[23], cells[24] = 0, ord(",")
+    cells[1] += a == 1.0  # ±0 and ±1: the sign, then "0" or "1"
+    cells[2:23, unit] = 0
+    cells = cells.T
+    other = np.flatnonzero(~(fixed | unit))
+    texts = np.array([b"%.17g" % v for v in values[other].tolist()], dtype="S24")
+    cells[other, :24] = texts.view(np.uint8).reshape(-1, 24)
+    return cells
+
+
 def write_similarity(matrix: SimilarityMatrix, sink) -> None:
     """Write a similarity matrix: first line C, then C comma-separated rows.
 
     The bytes are those of ``np.savetxt(fh, values, fmt="%.17g", delimiter=",")``.
-    S is bitwise symmetric, so each upper-triangle entry is formatted once;
-    its text is kept for the mirror entry, which is written with its later row.
+    S is bitwise symmetric, so only its upper triangle is formatted, packed
+    row by row; row i is written as column i of the earlier rows followed
+    by its own upper part.
     """
     values = matrix.values
     C = matrix.C
-    mirror = np.empty((C, C), dtype="S24")  # %.17g of a float64 is at most 24 characters
+    start = np.zeros(C + 1, dtype=np.int64)  # row i's upper part is cells[start[i]:start[i + 1]]
+    np.cumsum(np.arange(C, 0, -1), out=start[1:])
+    cells = np.empty((start[-1], _CELL), dtype=np.uint8)
+    block = max(1, _WRITE_BLOCK_BYTES // (_CELL * C))
+    j = np.arange(C)
     with _open_stream(sink, "w") as fh:
         fh.write(f"{C}\n")
-        for i in range(C):
-            own = [b"%.17g" % v for v in values[i, i:].tolist()]
-            mirror[i + 1:, i] = own[1:]
-            fh.write(b",".join(mirror[i, :i].tolist() + own).decode() + "\n")
+        for i0 in range(0, C, block):
+            i1 = min(i0 + block, C)
+            i = np.arange(i0, i1)[:, None]
+            cells[start[i0]:start[i1]] = _format_cells(values[i0:i1][j >= i])
+            # entry (i, j) is the cell of (min(i, j), max(i, j)), formatted in this block or an earlier one
+            text = np.take(cells, start[np.minimum(i, j)] + np.abs(i - j), axis=0)
+            text[:, -1, -1] = ord("\n")  # in place of each row's last comma
+            fh.write(text[text != 0].tobytes().decode())
 
 
 def read_similarity(source) -> SimilarityMatrix:

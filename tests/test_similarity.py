@@ -122,6 +122,15 @@ class TestMaskedSoftmax:
         with pytest.raises(DimensionMismatchError):
             masked_softmax([[1.0, 2.0], [3.0, 4.0]], [0])
 
+    @pytest.mark.parametrize("masked", [[0.0, 1.0], [True, False], ["0", "1"]])
+    def test_indices_must_be_integers(self, masked):
+        # a float index is not truncated, nor a bool one read as a row mask
+        with pytest.raises(ValidationError, match="masked indices must be integers"):
+            masked_softmax([[1.0, 2.0], [3.0, 4.0]], masked)
+
+    def test_no_rows_take_an_empty_list(self):
+        assert masked_softmax(np.zeros((0, 3)), []).shape == (0, 3)
+
 
 class TestClassRows:
     def test_mean_of_identical_vectors(self):
@@ -181,6 +190,20 @@ class TestClassRows:
     def test_unknown_mask(self):
         with pytest.raises(ValidationError):
             class_similarity_rows([0, 1], np.zeros((2, 2)), mask="both")
+
+    @pytest.mark.parametrize("labels", [[0.0, 1.7, 2.2], [0.0, 1.0, 2.0], ["0", "1", "2"], [False, True, True]])
+    def test_labels_must_be_integers(self, labels):
+        # CodeDatabase's rule: 1.7 is not truncated to class 1, nor "1" parsed
+        logits = np.random.default_rng(14).normal(size=(3, 3))
+        for build in (class_similarity_rows, build_similarity):
+            with pytest.raises(ValidationError, match="labels must be integers"):
+                build(labels, logits)
+
+    def test_any_integer_dtype_gives_the_same_rows(self):
+        logits = np.random.default_rng(15).normal(size=(4, 3))
+        want = class_similarity_rows([0, 1, 2, 1], logits)
+        for dtype in (np.uint8, np.int16, np.uint64):
+            assert np.array_equal(class_similarity_rows(np.array([0, 1, 2, 1], dtype=dtype), logits), want)
 
 
 class TestNormalizeRow:

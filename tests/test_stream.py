@@ -287,16 +287,114 @@ class TestStreamPlanLog:
         ]
 
 
+def savetxt_text(S: SimilarityMatrix) -> str:
+    """The similarity file as ``np.savetxt`` writes it: the bytes ``write_similarity`` must write."""
+    out = io.StringIO()
+    out.write(f"{S.C}\n")
+    np.savetxt(out, S.values, fmt="%.17g", delimiter=",")
+    return out.getvalue()
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """``got == want``, shown by the first line that differs: pytest's diff of a whole file takes minutes."""
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    assert len(got_lines) == len(want_lines)
+    for line, (g, w) in enumerate(zip(got_lines, want_lines)):
+        assert (line, g) == (line, w)
+
+
+def mirrored(upper: np.ndarray) -> SimilarityMatrix:
+    """S with ``upper``'s strict upper triangle, mirrored bit for bit (signed zeros too), and a unit diagonal."""
+    values = upper.copy()
+    lower = np.tril_indices(len(values), -1)
+    values[lower] = values.T[lower]
+    np.fill_diagonal(values, 1.0)
+    return SimilarityMatrix(values)
+
+
+def cosine_S(C: int) -> SimilarityMatrix:
+    return cosine_similarity_matrix(np.random.default_rng(C).normal(size=(C, 8)))
+
+
+def exponent_S() -> SimilarityMatrix:
+    """Entries from 1e-320 to 1: most below 1e-4, which %.17g writes in exponent notation."""
+    rng = np.random.default_rng(21)
+    upper = rng.choice([-1.0, 1.0], (40, 40)) * rng.uniform(0.1, 1.0, (40, 40))
+    return mirrored(upper * 10.0 ** -rng.integers(0, 321, (40, 40)))
+
+
+def unit_S(C: int = 30) -> SimilarityMatrix:
+    """Exact +-0 and +-1 off the diagonal, among ordinary entries."""
+    rng = np.random.default_rng(22)
+    return mirrored(rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, -0.25, 0.1, 1e-5], (C, C)))
+
+
+def logit_S() -> SimilarityMatrix:
+    """S built from the logits of 20 records per class at C = 100."""
+    rng = np.random.default_rng(23)
+    labels = np.arange(2000) % 100
+    logits = rng.normal(size=(2000, 100)) + rng.normal(size=(100, 100))[labels]
+    logits[np.arange(2000), labels] += 4.0
+    return build_similarity(labels, logits)
+
+
 class TestWriteSimilarity:
-    @pytest.mark.parametrize("C", [1, 2, 600])
-    def test_bytes_of_savetxt(self, C):
-        rng = np.random.default_rng(C)
-        S = cosine_similarity_matrix(rng.normal(size=(C, 8)))
-        got, want = io.StringIO(), io.StringIO()
+    @pytest.mark.parametrize("build", [
+        lambda: cosine_S(1), lambda: cosine_S(2), lambda: cosine_S(600), exponent_S, unit_S, logit_S,
+    ], ids=["1", "2", "600", "exponent", "units", "logits-C100"])
+    def test_bytes_of_savetxt(self, build):
+        S = build()
+        got = io.StringIO()
         write_similarity(S, got)
-        want.write(f"{C}\n")
-        np.savetxt(want, S.values, fmt="%.17g", delimiter=",")
-        assert got.getvalue() == want.getvalue()
+        assert_same_text(got.getvalue(), savetxt_text(S))
+
+    @pytest.mark.parametrize("rows", [1, 3, 4, 10, 11])
+    def test_bytes_do_not_depend_on_the_row_blocks(self, monkeypatch, rows):
+        # C = 10 in blocks of 1, 3 and 4 rows (the last block short), 10 and 11
+        monkeypatch.setattr(similarity, "_WRITE_BLOCK_BYTES", rows * similarity._CELL * 10)
+        S = unit_S(10)
+        got = io.StringIO()
+        write_similarity(S, got)
+        assert_same_text(got.getvalue(), savetxt_text(S))
+
+    def test_kernel_formats_as_python(self):
+        """The vectorized %.17g against ``b"%.17g" % v`` on 10**6 seeded doubles of [-1, 1] and its edges."""
+        rng = np.random.default_rng(24)
+        n = 250_000
+        every_decade = rng.uniform(0.1, 1.0, n) * 10.0 ** -rng.integers(0, 323, n)  # subnormals too
+        fixed_decades = rng.uniform(0.1, 1.0, n) * 10.0 ** -rng.integers(0, 4, n)  # %.17g writes 0.000d... to 0.d...
+        powers = np.array([float(f"1e{k}") for k in range(-323, 1)])
+        # each power of ten and two doubles either side: some round to 17 digits that carry into a new decade
+        near_powers = [np.nextafter(np.nextafter(powers, 0), 0), np.nextafter(powers, 0), powers,
+                       np.nextafter(powers, 2), np.nextafter(np.nextafter(powers, 2), 2)]
+        # odd n / 2**(18 + z) in [1e-(z + 1), 1e-z) has 18 significant digits, the last a 5: a tie at 17
+        ties = [np.arange(1, 2**(18 + z), 2 * 7**z) / 2**(18 + z) for z in range(4)]
+        edges = [0.0, 1.0, 5e-324, 0.99999999999999989, np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e-4, 1)]
+        x = np.concatenate([every_decade, fixed_decades, *near_powers, *ties, edges])
+        x = np.concatenate([x, -x])
+        assert x.size >= 10**6
+        for chunk in np.array_split(x, 20):
+            cells = similarity._format_cells(chunk)
+            got = cells[cells != 0].tobytes().split(b",")[:-1]
+            want = [b"%.17g" % v for v in chunk.tolist()]
+            assert [(v, g, w) for v, g, w in zip(chunk.tolist(), got, want) if g != w][:5] == []
+            assert len(got) == len(want)
+
+    def test_memory_is_the_packed_triangle_and_a_few_blocks(self):
+        # one cell per upper-triangle entry, no C x C array of texts
+        class Discard:
+            def write(self, text):
+                pass
+
+        C = 600
+        S = cosine_S(C)
+        tracemalloc.start()
+        try:
+            write_similarity(S, Discard())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= C * (C + 1) // 2 * similarity._CELL + 10 * similarity._WRITE_BLOCK_BYTES
 
     def test_mirrored_signed_zeros_are_written_as_savetxt_writes_them(self):
         # 0.0 mirrored by -0.0 becomes +0.0 both ways; -0.0 mirrored by -0.0 stays -0.0
