@@ -73,7 +73,6 @@ def masked_softmax(logits, masked) -> np.ndarray:
         raise DimensionMismatchError(f"{masked.shape} masked indices for {N} logit rows")
     if masked.size and not np.issubdtype(masked.dtype, np.integer):
         raise ValidationError(f"masked indices must be integers, got dtype {masked.dtype}")
-    masked = masked.astype(np.intp, copy=False)  # an empty list is float64
     if not np.isfinite(arr).all():
         raise ValidationError("logits must be finite")
     if C < 2:
@@ -81,7 +80,7 @@ def masked_softmax(logits, masked) -> np.ndarray:
     if ((masked < 0) | (masked >= C)).any():
         raise ValidationError(f"masked indices must lie in [0, {C}), got {masked.min()}..{masked.max()}")
     keep = np.ones((N, C), dtype=bool)
-    keep[np.arange(N), masked] = False
+    keep[np.arange(N), masked.astype(np.intp, copy=False)] = False  # an empty list is float64
     z = arr[keep].reshape(N, C - 1)
     with np.errstate(over="ignore"):  # kept logits spanning more than float64's range shift to -inf, exp 0
         z -= z.max(axis=1, keepdims=True)
