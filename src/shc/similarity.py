@@ -390,7 +390,7 @@ def write_similarity(matrix: SimilarityMatrix, sink) -> None:
             # entry (i, j) is the cell of (min(i, j), max(i, j)), formatted in this block or an earlier one
             text = np.take(cells, start[np.minimum(i, j)] + np.abs(i - j), axis=0)
             text[:, -1, -1] = ord("\n")  # in place of each row's last comma
-            fh.write(text[text != 0].tobytes().decode())
+            fh.write(text.tobytes().translate(None, b"\0").decode())  # faster than a numpy mask
 
 
 def read_similarity(source) -> SimilarityMatrix:
