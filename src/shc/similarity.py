@@ -298,7 +298,7 @@ def read_embeddings(source) -> np.ndarray:
 # write_similarity formats S's upper triangle once, packed row by row, in
 # blocks of whole rows of about this many bytes of cells, and writes each
 # block's rows once their cells are in.  Its traced peak is the triangle's
-# C(C+1)/2 cells plus about 8 blocks, the kernel's temporaries: 6.2 / 49.7
+# C(C+1)/2 cells plus about 8 blocks, the kernel's temporaries: 6.5 / 49.9
 # MiB at C = 600 / 2000.  Smaller blocks cost more numpy calls per entry.
 _WRITE_BLOCK_BYTES = 1 << 18
 # A formatted entry: the bytes of its %.17g text (at most 24) in order, with
