@@ -273,8 +273,8 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
     row r per visit, and once per sweep :func:`_s_loss` forms it a segment
     at a time for its s_loss.  After a sweep that flipped fewer than C/4
     bits, a sweep first bounds every center's masked gains from P = R @ H
-    (R = S - G/q), taken as S @ H - (G @ H)/q with G @ H in exact integers,
-    and skips the visits that bound proves flip nothing.  Beside S, a
+    (R = S - G/q), taken from :func:`_residual`'s rows a row block at a
+    time, and skips the visits that bound proves flip nothing.  Beside S, a
     descent holds G, a few C x q arrays and row blocks of _BLOCK_BYTES.
     """
     Sv = _similarity(S, centers.C).values
@@ -286,9 +286,9 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
     tight_above = q - 2 * d - 2
     # far above the rounding error of r @ H (|S| <= 1), so each applied flip really lowers s_loss
     lowers = -(C - 1) / q - 1e-9 * C
-    # R = S - G/q is not kept: _residual forms row i of it per visit, and _s_loss a segment
-    # at a time per sweep, always by one divide then subtract, so every entry has one value,
-    # exactly symmetric as S and G are.  Its diagonal is S_ii - G_ii/q = 1 - q/q, exactly
+    # R = S - G/q is not kept: _residual forms row i of it per visit, a row block at a time
+    # per screen, and a segment at a time per sweep for _s_loss, always by one divide then
+    # subtract, so every entry has one value, exactly symmetric as S and G are.  Its diagonal is S_ii - G_ii/q = 1 - q/q, exactly
     # 0.0, and a flip leaves G_ii alone.
     words = _pack_words(centers.matrix)
     gain, step, row = np.empty(q), np.empty(C, dtype=G.dtype), np.empty(C)
@@ -302,13 +302,11 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
     # The flip can open a bit of j's mask only if i was tight with j before it (a pair
     # that becomes tight only blocks more bits), so those floors drop to -inf.  Hence
     # floor_j >= bar proves that the visit to j flips nothing, once tol covers the
-    # rounding.  P is taken as S @ H - (G @ H) / q: the gemm S @ H is within C^2 eps / 2
-    # of exact (C terms of |S| <= 1), G @ H holds exact integers of at most Cq, and its
-    # divide by q and the subtraction add at most 1.5 C eps.  A visit's gemv r @ H is
-    # within C^2 eps of exact (C terms of |r| <= 2), and the rounded r adds at most
-    # 1.5 C eps (1.5 eps per entry from its divide and subtract).  Each of the at most C
-    # flips adds at most (2C + 6) eps (the column update, the rounded R_ji and the sum in
-    # bar).  That is under (4 C^2 + 9 C) eps, so 64 C^2 eps covers it all.
+    # rounding.  P and a visit's gemv r @ H take the same rounded rows r from _residual
+    # and differ only in the order of the sum: each is within about C^2 eps of the exact
+    # product (C terms of |r| <= 2), so they differ by at most 2 C^2 eps.  Each of the at
+    # most C flips adds at most (2C + 6) eps (the column update, the rounded R_ji and the
+    # sum in bar).  That is under (4 C^2 + 6 C) eps, so 64 C^2 eps covers it all.
     tol = 64 * C * C * np.finfo(np.float64).eps
     trace = []
     flips = C  # the first sweep is not screened
@@ -367,35 +365,26 @@ def descend(S, centers: CenterSet, d: int) -> tuple[CenterSet, list[float]]:
 def _screen(Sv, H, G, words, q: int, tight_above: int) -> tuple[np.ndarray, np.ndarray]:
     """P = R @ H (R = S - G/q) and floor_i, the least P_ik h_ik over the bits k open to center i.
 
-    P is S @ H - (G @ H) / q, with G @ H in exact integers from :func:`_gram_times`.  As in a visit,
-    bit k of i is blocked where the OR of words[j] ^ words[i] over tight j (j = i among them) is set.
+    :func:`_residual` forms R a row block at a time in one buffer, as a visit forms its row,
+    and one product fills that block of P.  As in a visit, bit k of i is blocked where the
+    OR of words[j] ^ words[i] over tight j (j = i among them) is set.
     """
     C = len(G)
-    P = Sv @ H
-    GH = _gram_times(G, H)
-    P -= np.divide(GH, q, out=GH)
-    del GH
-    floor = np.empty(C)
+    P, floor = np.empty_like(H), np.empty(C)
+    blocks = _row_blocks(C, C * 8)
+    R = np.empty((blocks[0].stop, C))
+    for block in blocks:
+        np.matmul(_residual(Sv[block], G[block], q, out=R[:block.stop - block.start]), H, out=P[block])
+    del R
+    # A row of words can be much wider than a row of R (16 times at q = 1024), and at C = 600
+    # a product of 3 rows cost 4 times as much per row as one of 54, so the floors take their
+    # own blocks.
     for block in _row_blocks(C, words.nbytes):  # a row gathers the words of at most C tight pairs
         rows, cols = np.divmod(np.flatnonzero(G[block] > tight_above), C)
         starts = np.searchsorted(rows, np.arange(block.stop - block.start))
         blocked = _unpack_words(np.bitwise_or.reduceat(words[cols] ^ words[rows + block.start], starts), q)
         floor[block] = np.where(blocked, np.inf, P[block] * H[block]).min(axis=1)
     return P, floor
-
-
-def _gram_times(G, H) -> np.ndarray:
-    """G @ H = H (H^T H) for G = H H^T, exact in float64 (every partial sum is an integer of at most Cq).
-
-    H (H^T H) costs C q^2 and holds a q x q array, so it is taken while that array fits
-    _BLOCK_BYTES (q <= 181); at larger q, G is cast to float64 one row block at a time.
-    """
-    if H.shape[1] ** 2 * 8 <= _BLOCK_BYTES:
-        return H @ (H.T @ H)
-    GH = np.empty_like(H)
-    for block in _row_blocks(len(G), len(G) * 8):
-        np.matmul(G[block].astype(np.float64), H, out=GH[block])
-    return GH
 
 
 def quality_metrics(centers: CenterSet, S) -> tuple[int | None, float]:

@@ -114,7 +114,8 @@ class _ClassSums:
             self.sums, self.counts = np.zeros((self.C, self.C)), np.zeros(self.C, dtype=np.int64)
         if labels.size:
             self.low, self.high = min(self.low, int(labels.min())), max(self.high, int(labels.max()))
-        if self.labels_in_range():
+        if self.labels_in_range():  # the range is read from the labels as passed, so this cast is exact
+            labels = labels.astype(np.int64, copy=False)
             self.counts += np.bincount(labels, minlength=self.C)
             self.finite = self.finite and bool(np.isfinite(logits).all())
             if self.finite and self.C >= 2:
@@ -146,7 +147,6 @@ def class_similarity_rows(labels, logits, mask: str = MASK_GROUND_TRUTH) -> np.n
     labels = np.asarray(labels)
     if labels.size and not np.issubdtype(labels.dtype, np.integer):  # as in CodeDatabase: no floats, bools, strings
         raise ValidationError(f"labels must be integers, got dtype {labels.dtype}")
-    labels = labels.astype(np.int64)
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2 or labels.shape != logits.shape[:1]:
         raise DimensionMismatchError(f"labels of shape {labels.shape} for logits of shape {logits.shape}")

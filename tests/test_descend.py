@@ -16,7 +16,7 @@ from shc.optimizer import (
     _close_pairs,
     _d_min,
     _gram,
-    _gram_times,
+    _residual,
     _s_loss,
     _screen,
     _similarity,
@@ -255,7 +255,7 @@ def oracle_cases():
     S, _, _ = cosine_fixture(300, 64)
     yield "cosine-300x64-d1", S, 1, init_centers(64, 300, 1, seed=0)  # no tight pairs
     yield "cosine-150x128", *cosine_fixture(150, 128)  # two 64-bit words per center
-    yield "cosine-100x256", *cosine_fixture(100, 256, seed=5)  # the screen's G @ H from row blocks of G
+    yield "cosine-100x256", *cosine_fixture(100, 256, seed=5)  # four words per center, two floor blocks
     S, d, _ = cosine_fixture(100, 64)
     yield "hadamard-100x64", S, d, init_centers(64, 100, d, seed=0, method=INIT_HADAMARD)
 
@@ -337,12 +337,17 @@ def test_gram_is_the_integer_product(C, q):
     assert np.array_equal(G, rows.astype(np.int64) @ rows.T)
 
 
-# q on both sides of the largest q whose q x q float64 H^T H fits _BLOCK_BYTES
-@pytest.mark.parametrize("C, q", [(1, 8), (300, 64), (40, 181), (40, 182), (150, 300)])
-def test_gram_times_is_the_exact_integer_product(C, q):
-    rows = np.random.default_rng(q).choice(np.array([-1, 1], dtype=np.int8), size=(C, q))
-    GH = _gram_times(_gram(rows), rows.astype(np.float64))
-    assert np.array_equal(GH, (rows.astype(np.int64) @ rows.T) @ rows)
+# one to three row blocks of R, one to five 64-bit words per center
+@pytest.mark.parametrize("C, q", [(40, 181), (40, 182), (150, 300), (300, 64)])
+def test_screen_rows_are_the_visits_products(C, q):
+    """Each row of the screen's P is a visit's r @ H, from the same rounded r, up to the order of the sum."""
+    rng = np.random.default_rng(q)
+    rows = rng.choice(np.array([-1, 1], dtype=np.int8), size=(C, q))
+    G, H = _gram(rows), rows.astype(np.float64)
+    S = cosine_similarity_matrix(rng.normal(size=(C, 8))).values
+    P, _ = _screen(S, H, G, _pack_words(rows), q, q - 2 * compute_min_distance(q, C) - 2)
+    visits = np.array([np.dot(_residual(S[i], G[i], q), H) for i in range(C)])
+    assert np.abs(P - visits).max() <= 2 * C * C * np.finfo(np.float64).eps
 
 
 def traced_peak(f):
@@ -370,10 +375,10 @@ class TestCenterStageMemory:
         assert traced_peak(lambda: descend(S, init, d)) <= self.DESCEND_BOUND * self.CC
 
     def test_descend_at_four_words_per_row(self):
-        # at q = 256 H, P and G @ H are 0.64 each, and a tight pair in the screen holds four
-        # words: 2.55 measured; 2.8 is the float T @ H count's 2.56 plus 10%
+        # at q = 256 H and P are 0.64 each, and a tight pair in the screen holds four words:
+        # 2.03 measured, so 2.25 leaves 10%
         S, d, init = cosine_fixture(self.C, 256)
-        assert traced_peak(lambda: descend(S, init, d)) <= 2.8 * self.CC
+        assert traced_peak(lambda: descend(S, init, d)) <= 2.25 * self.CC
 
     def test_descend_info_lines_read_g_in_row_blocks(self, caplog):
         # each sweep's INFO line reads d_min and the close pairs from G a row block at a time
@@ -382,6 +387,19 @@ class TestCenterStageMemory:
             peak = traced_peak(lambda: descend(S, init, d))
         assert sweep_violations(caplog.records)
         assert peak <= self.DESCEND_BOUND * self.CC
+
+    def test_screen_holds_p_and_row_blocks(self):
+        # at (C, q) = (600, 1024) P is 4.9 MB; beside it the screen holds one row block of
+        # R (one _BLOCK_BYTES) and its int16 -> float64 cast buffer, then the floors' row
+        # blocks: P plus 1.27 _BLOCK_BYTES measured, so two leave room
+        C, q = 600, 1024
+        rng = np.random.default_rng(0)
+        rows = rng.choice(np.array([-1, 1], dtype=np.int8), size=(C, q))
+        G, H, words = _gram(rows), rows.astype(np.float64), _pack_words(rows)
+        S = cosine_similarity_matrix(rng.normal(size=(C, 32))).values
+        tight_above = q - 2 * compute_min_distance(q, C) - 2
+        peak = traced_peak(lambda: _screen(S, H, G, words, q, tight_above))
+        assert peak <= H.nbytes + 2 * _BLOCK_BYTES
 
     def test_quality_metrics_and_violation_count(self):
         S, d, init = cosine_fixture(self.C, self.q)

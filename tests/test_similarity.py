@@ -187,6 +187,12 @@ class TestClassRows:
         with pytest.raises(ValidationError):
             class_similarity_rows([0, -1], np.zeros((2, 3)))
 
+    def test_label_range_is_reported_as_passed(self):
+        # a uint64 label of 2**63 or more must not wrap to a negative label no caller passed
+        labels = np.array([0, 2**63 + 1, 1], dtype=np.uint64)
+        with pytest.raises(ValidationError, match=f"labels must lie in \\[0, 3\\), got 0..{2**63 + 1}$"):
+            class_similarity_rows(labels, np.zeros((3, 3)))
+
     def test_unknown_mask(self):
         with pytest.raises(ValidationError):
             class_similarity_rows([0, 1], np.zeros((2, 2)), mask="both")
