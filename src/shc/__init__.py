@@ -9,7 +9,6 @@ databases.  The ``shc`` command line exposes each stage.
 """
 
 from .core import (
-    BinaryCode,
     CenterSet,
     CodeDatabase,
     DegenerateInputError,
@@ -39,7 +38,6 @@ from .similarity import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinaryCode",
     "CenterSet",
     "CodeDatabase",
     "SimilarityMatrix",

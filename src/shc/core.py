@@ -20,7 +20,6 @@ __all__ = [
     "DegenerateInputError",
     "MissingClassError",
     "InfeasibleError",
-    "BinaryCode",
     "CenterSet",
     "SimilarityMatrix",
     "CodeDatabase",
@@ -74,46 +73,16 @@ class InfeasibleError(ShcError):
     """The requested configuration admits no solution (e.g. C > 2^q)."""
 
 
-def _pm1_array(values, ndim, what):
-    """Validate a {-1,+1} array and return it as read-only, C-ordered int8."""
+def _pm1_array(values, what):
+    """Validate a 2-d {-1,+1} array and return it as read-only, C-ordered int8."""
     arr = np.asarray(values)
-    if arr.ndim != ndim:
-        raise ValidationError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
+    if arr.ndim != 2:
+        raise ValidationError(f"{what} must be 2-dimensional, got shape {arr.shape}")
     if arr.size and not ((arr == 1) | (arr == -1)).all():
         raise ValidationError(f"{what} entries must be exactly -1 or +1")
     out = arr.astype(np.int8, order="C")
     out.flags.writeable = False
     return out
-
-
-class BinaryCode:
-    """A single immutable codeword in {-1,+1}^q."""
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits):
-        arr = _pm1_array(bits, 1, "code")
-        if arr.size == 0:
-            raise ValidationError("code length must be at least 1")
-        self.bits = arr
-
-    @property
-    def q(self) -> int:
-        return int(self.bits.size)
-
-    def __len__(self) -> int:
-        return self.q
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BinaryCode):
-            return NotImplemented
-        return self.q == other.q and np.array_equal(self.bits, other.bits)
-
-    def __hash__(self) -> int:
-        return hash(self.bits.tobytes())
-
-    def __repr__(self) -> str:
-        return "BinaryCode({!r})".format("".join("+" if b > 0 else "-" for b in self.bits))
 
 
 class CenterSet:
@@ -122,7 +91,7 @@ class CenterSet:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        arr = _pm1_array(matrix, 2, "center matrix")
+        arr = _pm1_array(matrix, "center matrix")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValidationError(f"center matrix must be at least 1x1, got shape {arr.shape}")
         self.matrix = arr
@@ -137,13 +106,6 @@ class CenterSet:
 
     def __len__(self) -> int:
         return self.C
-
-    def __getitem__(self, i) -> BinaryCode:
-        return BinaryCode(self.matrix[i])
-
-    def __iter__(self):
-        for row in self.matrix:
-            yield BinaryCode(row)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CenterSet):
@@ -237,7 +199,7 @@ class CodeDatabase:
     __slots__ = ("labels", "codes")
 
     def __init__(self, labels, codes):
-        code_arr = _pm1_array(codes, 2, "codes")
+        code_arr = _pm1_array(codes, "codes")
         if code_arr.shape[1] < 1:
             raise ValidationError("code length must be at least 1")
         label_arr = np.asarray(labels)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BinaryCode, DimensionMismatchError, ValidationError, _pm1_array
+from .core import DimensionMismatchError, ValidationError, _pm1_array
 
 __all__ = ["LossConfig", "central_loss", "quantization_loss", "total_loss"]
 
@@ -54,20 +54,21 @@ def central_loss(batch, cfg: LossConfig = _DEFAULT) -> float:
     """Mean per-image cross-entropy between relaxed codes and their centers.
 
     ``batch`` is a sequence of (relaxed code, center) pairs of one common
-    length; a center is a :class:`BinaryCode` or a +-1 vector.  Probabilities
-    (1 + b)/2 are clamped into [epsilon, 1 - epsilon] before the log, so
-    exact +-1 entries are legal input.  Zero batch size is an error.
+    length; a center is a +-1 vector, such as a row of ``CenterSet.matrix``.
+    Probabilities (1 + b)/2 are clamped into [epsilon, 1 - epsilon] before
+    the log, so exact +-1 entries are legal input.  Zero batch size is an
+    error.
     """
     pairs = list(batch)
     if not pairs:
         raise ValidationError("central loss needs a nonempty batch")
     codes = [b for b, _ in pairs]
-    centers = [h.bits if isinstance(h, BinaryCode) else h for _, h in pairs]
+    centers = [h for _, h in pairs]
     lengths = _lengths(codes, "relaxed code") | _lengths(centers, "center")
     if len(lengths) > 1:
         raise DimensionMismatchError(f"batch mixes code lengths {sorted(lengths)}")
     b = _relaxed(codes).reshape(len(pairs), -1)
-    h = _pm1_array(centers, 2, "center")
+    h = _pm1_array(centers, "center")
     p = np.clip((1.0 + b) / 2.0, cfg.epsilon, 1.0 - cfg.epsilon)
     return -float(np.log(np.where(h > 0, p, 1.0 - p)).sum()) / len(pairs)
 

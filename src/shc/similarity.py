@@ -316,13 +316,11 @@ def _format_cells(values: np.ndarray) -> np.ndarray:
     trailing zeros.  With |v| = m / 2**k for its 53-bit significand m, D is
     m * 5**(17 + z) / 2**(k - 17 - z) rounded half to even: a product of
     under 100 bits, taken exactly in two uint64 limbs.  No double in that
-    range rounds up into the next decade, so D < 10**17.  ±0 and ±1 are a
-    sign and one digit; Python formats the rest (exponent notation,
-    subnormals).
+    range rounds up into the next decade, so D < 10**17.  Python formats the
+    rest (±0, ±1, exponent notation, subnormals).
     """
     a = np.abs(values)
     fixed = (a >= 1e-4) & (a < 1.0)
-    unit = (a == 0.0) | (a == 1.0)
     # Each of 1e-1, 1e-2, 1e-3 lies above the power of ten it rounds, so these compares are exact.
     z = (a < 1e-1).view(np.uint8) + (a < 1e-2).view(np.uint8)
     z += (a < 1e-3).view(np.uint8)
@@ -357,10 +355,8 @@ def _format_cells(values: np.ndarray) -> np.ndarray:
             cells[row] = (digit + ord("0")) * significant
             part = tens
     cells[23], cells[24] = 0, ord(",")
-    cells[1] += a == 1.0  # ±0 and ±1: the sign, then "0" or "1"
-    cells[2:23, unit] = 0
     cells = cells.T
-    other = np.flatnonzero(~(fixed | unit))
+    other = np.flatnonzero(~fixed)
     texts = np.array([b"%.17g" % v for v in values[other].tolist()], dtype="S24")
     cells[other, :24] = texts.view(np.uint8).reshape(-1, 24)
     return cells

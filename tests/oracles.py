@@ -11,17 +11,17 @@ and errors.
 
 import numpy as np
 
-from shc.core import BinaryCode, CodeDatabase, DegenerateInputError, SimilarityMatrix
+from shc.core import CodeDatabase, DegenerateInputError, SimilarityMatrix
 
 
-def hamming_distance(a: BinaryCode, b: BinaryCode) -> int:
-    """Number of positions where two equal-length codes differ."""
-    return int(np.count_nonzero(a.bits != b.bits))
+def hamming_distance(a, b) -> int:
+    """Number of positions where two equal-length {-1,+1} rows differ."""
+    return int(np.count_nonzero(np.asarray(a) != np.asarray(b)))
 
 
-def inner_product(a: BinaryCode, b: BinaryCode) -> int:
-    """Integer inner product of two equal-length codes, in int64; in [-q, q]."""
-    return int(a.bits.astype(np.int64) @ b.bits.astype(np.int64))
+def inner_product(a, b) -> int:
+    """Integer inner product of two equal-length {-1,+1} rows, in int64; in [-q, q]."""
+    return int(np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64))
 
 
 def hamming_matrix(a, b) -> np.ndarray:
@@ -29,9 +29,9 @@ def hamming_matrix(a, b) -> np.ndarray:
     return (a.shape[-1] - a.astype(np.int64) @ b.astype(np.int64).T) // 2
 
 
-def rank_database(query: BinaryCode, db: CodeDatabase) -> np.ndarray:
-    """Record indices by ascending Hamming distance, ties by ascending index: a stable argsort."""
-    return np.argsort(np.count_nonzero(db.codes != query.bits, axis=1), kind="stable")
+def rank_database(query, db: CodeDatabase) -> np.ndarray:
+    """Record indices by ascending Hamming distance to a {-1,+1} row, ties by ascending index: a stable argsort."""
+    return np.argsort(np.count_nonzero(db.codes != np.asarray(query), axis=1), kind="stable")
 
 
 def dense_ap(rel, cutoffs):

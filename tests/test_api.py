@@ -23,6 +23,8 @@ REMOVED = [
     # the whole-file logit reader: stream_similarity is the one way from a logit file to S
     "read_logits",
     "_logit_rows",
+    # the one-code type: a code is a {-1,+1} row of a CenterSet or CodeDatabase matrix
+    "BinaryCode",
 ]
 
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shc.core import (
-    BinaryCode,
     CenterSet,
     CodeDatabase,
     DimensionMismatchError,
@@ -31,39 +30,48 @@ from oracles import hamming_matrix, inner_product
 
 
 def code(*bits):
-    return BinaryCode(np.array(bits, dtype=np.int8))
+    return np.array(bits, dtype=np.int8)
 
 
-class TestBinaryCode:
+def random_code(rng, q):
+    return (rng.integers(0, 2, q) * 2 - 1).astype(np.int8)
+
+
+class TestCenterSetEntries:
     def test_rejects_non_pm1(self):
         with pytest.raises(ValidationError):
-            BinaryCode([1, 0, -1])
+            CenterSet([[1, 0, -1]])
         with pytest.raises(ValidationError):
-            BinaryCode([0.5, 1.0])
+            CenterSet([[0.5, 1.0]])
 
-    def test_rejects_empty_and_wrong_rank(self):
+    @pytest.mark.parametrize("values", [[], [1, -1], [[[1, -1]]]])
+    def test_rejects_empty_and_wrong_rank(self, values):
         with pytest.raises(ValidationError):
-            BinaryCode([])
-        with pytest.raises(ValidationError):
-            BinaryCode([[1, -1]])
+            CenterSet(values)
 
     def test_accepts_float_pm1(self):
-        assert code(1, -1) == BinaryCode(np.array([1.0, -1.0]))
+        cs = CenterSet(np.array([[1.0, -1.0]]))
+        assert cs.matrix.dtype == np.int8
+        assert cs == CenterSet([code(1, -1)])
 
-    def test_immutable(self):
-        c = code(1, -1, 1)
+    def test_rows_are_read_only(self):
+        cs = CenterSet([code(1, -1, 1)])
         with pytest.raises(ValueError):
-            c.bits[0] = -1
+            cs.matrix[0, 0] = -1
+        with pytest.raises(ValueError):
+            cs.matrix[0][0] = -1
 
-    def test_eq_hash(self):
-        assert code(1, -1) == code(1, -1)
-        assert code(1, -1) != code(-1, 1)
-        assert hash(code(1, -1)) == hash(code(1, -1))
+    def test_has_no_item_access(self):
+        # a center is a row of ``matrix``; the set neither indexes nor iterates
+        assert not hasattr(CenterSet, "__getitem__")
+        assert not hasattr(CenterSet, "__iter__")
+        with pytest.raises(TypeError):
+            iter(CenterSet([code(1, -1)]))
 
 
 def hamming_distance(a, b):
     """The package's distance between two codes: the packed kernel on one row each."""
-    return int(_hamming(_pack_words(a.bits), _pack_words(b.bits), a.q))
+    return int(_hamming(_pack_words(a), _pack_words(b), a.size))
 
 
 class TestHammingAndInner:
@@ -78,7 +86,7 @@ class TestHammingAndInner:
     def test_full_complement(self):
         a, b = code(1, -1), code(-1, 1)
         assert hamming_distance(a, b) == 2
-        assert (a.q - inner_product(a, b)) // 2 == 2
+        assert (a.size - inner_product(a, b)) // 2 == 2
 
     def test_inner_product_examples(self):
         # the Gram kernel's entries are the inner products of its rows
@@ -89,8 +97,7 @@ class TestHammingAndInner:
     def test_hamming_euclid_identity(self, q):
         rng = np.random.default_rng(q)
         for _ in range(200):
-            a = BinaryCode(rng.integers(0, 2, q) * 2 - 1)
-            b = BinaryCode(rng.integers(0, 2, q) * 2 - 1)
+            a, b = random_code(rng, q), random_code(rng, q)
             assert hamming_distance(a, b) == (q - inner_product(a, b)) // 2
             assert (q - inner_product(a, b)) % 2 == 0
 
@@ -98,11 +105,11 @@ class TestHammingAndInner:
         rng = np.random.default_rng(5)
         q = 12
         for _ in range(300):
-            a, b, c = (BinaryCode(rng.integers(0, 2, q) * 2 - 1) for _ in range(3))
+            a, b, c = (random_code(rng, q) for _ in range(3))
             ab, ba = hamming_distance(a, b), hamming_distance(b, a)
             assert ab >= 0
             assert ab == ba
-            assert (ab == 0) == (a == b)
+            assert (ab == 0) == np.array_equal(a, b)
             assert hamming_distance(a, c) <= ab + hamming_distance(b, c)
 
     @given(st.integers(1, 100), st.randoms(use_true_random=False))
@@ -110,7 +117,7 @@ class TestHammingAndInner:
     def test_identity_property(self, q, rnd):
         bits_a = [rnd.choice((-1, 1)) for _ in range(q)]
         bits_b = [rnd.choice((-1, 1)) for _ in range(q)]
-        a, b = BinaryCode(bits_a), BinaryCode(bits_b)
+        a, b = code(*bits_a), code(*bits_b)
         assert 2 * hamming_distance(a, b) == q - inner_product(a, b)
 
 
@@ -251,7 +258,7 @@ class TestCodesIO:
         write_codes(db, path)
         back = read_codes(path)
         assert back == db
-        assert (int(back.labels[0]), BinaryCode(back.codes[0])) == (3, code(1, -1, 1))
+        assert (int(back.labels[0]), back.codes[0].tolist()) == (3, [1, -1, 1])
 
     @given(st.integers(0, 20), st.integers(1, 33), st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -361,9 +368,8 @@ class TestSimilarityMatrix:
 class TestCenterSetAndDatabase:
     def test_center_set_accessors(self):
         cs = CenterSet(np.array([[1, -1], [-1, -1]], dtype=np.int8))
-        assert cs.C == 2 and cs.q == 2
-        assert cs[0] == code(1, -1)
-        assert list(cs) == [code(1, -1), code(-1, -1)]
+        assert cs.C == len(cs) == 2 and cs.q == 2
+        assert cs.matrix.tolist() == [[1, -1], [-1, -1]]
 
     def test_code_check_holds_two_bool_masks_at_most(self):
         # np.isin held about 12 bytes per entry here; the check needs two bool masks
@@ -385,12 +391,17 @@ class TestCenterSetAndDatabase:
         (np.array([1, 1], dtype=np.uint8), True), (np.array([1, 255], dtype=np.uint8), False),
         (np.array(["1", "-1"]), False), (np.array([np.nan, 1.0]), False), (np.array([1.0, 0.5]), False),
     ])
-    def test_code_entries_must_equal_plus_or_minus_one(self, values, ok):
+    @pytest.mark.parametrize("codes_of", [
+        lambda rows: CenterSet(rows).matrix,
+        lambda rows: CodeDatabase(np.zeros(len(rows), dtype=np.int64), rows).codes,
+    ], ids=["CenterSet", "CodeDatabase"])
+    def test_code_entries_must_equal_plus_or_minus_one(self, values, ok, codes_of):
+        rows = values[None, :]
         if ok:
-            assert BinaryCode(values).bits.tolist() == [1 if v == 1 else -1 for v in values.tolist()]
+            assert codes_of(rows).tolist() == [[1 if v == 1 else -1 for v in values.tolist()]]
         else:
             with pytest.raises(ValidationError, match="exactly -1 or \\+1"):
-                BinaryCode(values)
+                codes_of(rows)
 
     def test_database_validation(self):
         with pytest.raises(DimensionMismatchError):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from shc import evaluation
-from shc.core import BinaryCode, CodeDatabase, DimensionMismatchError, ValidationError, _pack_words
+from shc.core import CodeDatabase, DimensionMismatchError, ValidationError, _pack_words
 from shc.evaluation import DEFAULT_PR_GRID, evaluate, worker_count
 
 from oracles import average_precision, dense_ap, hamming_matrix, rank_database
@@ -67,7 +67,7 @@ def package_order(query, db):
     N = len(db)
     own = np.arange(N)  # record j is the only record of label j
     _, ap, _ = evaluation._chunk_stats(
-        np.repeat(_pack_words(query.bits[None, :]), N, axis=0), own, _pack_words(db.codes), own, own, db.q,
+        np.repeat(_pack_words(query[None, :]), N, axis=0), own, _pack_words(db.codes), own, own, db.q,
         np.array([N]),
     )
     return np.argsort(np.rint(1.0 / ap[:, 0]))
@@ -83,23 +83,23 @@ class TestRankDatabase:
     def test_exact_match_first(self):
         rng = np.random.default_rng(0)
         db = random_db(rng, 6, 8, 3)
-        query = BinaryCode(db.codes[3])
+        query = db.codes[3]
         assert package_order(query, db)[0] == rank_database(query, db)[0] == 3
 
     def test_tie_breaks_by_index(self):
         codes = np.array([[1, 1, 1, 1], [1, 1, 1, -1], [1, 1, -1, 1]], dtype=np.int8)
         db = CodeDatabase([0, 1, 2], codes)
-        query = BinaryCode([1, 1, 1, 1])
+        query = np.array([1, 1, 1, 1], dtype=np.int8)
         assert package_order(query, db).tolist() == rank_database(query, db).tolist() == [0, 1, 2]  # 1 and 2 tie
 
     def test_matches_naive_sort(self):
         rng = np.random.default_rng(1)
         db = random_db(rng, 100, 16, 5)
         for _ in range(10):
-            query = BinaryCode(rng.integers(0, 2, 16) * 2 - 1)
+            query = (rng.integers(0, 2, 16) * 2 - 1).astype(np.int8)
             want = sorted(
                 range(100),
-                key=lambda j: (int(np.count_nonzero(db.codes[j] != query.bits)), j),
+                key=lambda j: (int(np.count_nonzero(db.codes[j] != query)), j),
             )
             assert package_order(query, db).tolist() == rank_database(query, db).tolist() == want
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from shc.core import BinaryCode, DimensionMismatchError, ValidationError
+from shc.core import CenterSet, DimensionMismatchError, ValidationError
 from shc.losses import LossConfig, central_loss, quantization_loss, total_loss
 
 
@@ -40,10 +40,12 @@ class TestCentralLoss:
         two = central_loss([(np.zeros(2), h), (np.zeros(2), h)])
         assert_allclose(one, two, rtol=1e-12)
 
-    def test_accepts_binary_code_centers(self):
-        b = np.array([0.5, -0.5])
-        assert central_loss([(b, BinaryCode([1, -1]))]) == central_loss(
-            [(b, np.array([1, -1], dtype=np.int8))]
+    def test_takes_center_set_rows(self):
+        # an external trainer pairs each relaxed code with its class's row of ``CenterSet.matrix``
+        centers = CenterSet([[1, -1], [-1, -1]])
+        codes, labels = np.array([[0.5, -0.5], [0.25, 0.0], [-0.5, 0.0]]), np.array([0, 1, 1])
+        assert central_loss(zip(codes, centers.matrix[labels])) == central_loss(
+            zip(codes, [[1.0, -1.0], [-1.0, -1.0], [-1.0, -1.0]])
         )
 
     def test_exact_binary_input_is_finite(self):

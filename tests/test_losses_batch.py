@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from shc.core import BinaryCode, DimensionMismatchError, ValidationError
+from shc.core import CenterSet, DimensionMismatchError, ValidationError
 from shc.losses import LossConfig, central_loss, quantization_loss, total_loss
 
 
@@ -25,9 +25,12 @@ def _relaxed(values) -> np.ndarray:
 
 
 def _center_bits(center) -> np.ndarray:
-    if isinstance(center, BinaryCode):
-        return center.bits.astype(np.float64)
-    return BinaryCode(center).bits.astype(np.float64)
+    arr = np.asarray(center)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValidationError(f"center must be a nonempty vector, got shape {arr.shape}")
+    if not ((arr == 1) | (arr == -1)).all():
+        raise ValidationError("center entries must be exactly -1 or +1")
+    return arr.astype(np.float64)
 
 
 def oracle_central_loss(batch, cfg: LossConfig = LossConfig()) -> float:
@@ -63,7 +66,7 @@ def oracle_quantization_loss(batch) -> float:
 
 # Each center in a batch takes one of these forms, picked per pair.
 CENTER_FORMS = [
-    BinaryCode,
+    lambda bits: CenterSet(bits[None, :]).matrix[0],
     lambda bits: bits,
     lambda bits: bits.astype(np.float64),
     lambda bits: [int(x) for x in bits],
@@ -123,7 +126,7 @@ MALFORMED_CENTRAL = {
     "ragged relaxed codes": ([(np.zeros(2), h(1, -1)), (np.zeros(3), h(1, -1, 1))], DimensionMismatchError),
     "ragged centers, equal-length codes": (
         [(np.zeros(2), h(1, -1)), (np.zeros(2), h(1, -1, 1))], DimensionMismatchError),
-    "code longer than its center": ([(np.zeros(3), BinaryCode([1, -1]))], DimensionMismatchError),
+    "code longer than its center": ([(np.zeros(3), h(1, -1))], DimensionMismatchError),
     "2-D relaxed row": ([(np.zeros((1, 2)), h(1, -1))], ValidationError),
     "2-D relaxed row after a good pair": (
         [(np.zeros(2), h(1, -1)), (np.zeros((1, 2)), h(1, -1))], ValidationError),
@@ -179,5 +182,5 @@ def test_quantization_loss_of_mixed_lengths_and_of_nothing():
 
 def test_central_loss_of_list_input():
     # plain lists for codes and centers, as the loop took them
-    batch = [([0.5, -0.5], [1, -1]), ([0.0, 1.0], BinaryCode([-1, 1]))]
+    batch = [([0.5, -0.5], [1, -1]), ([0.0, 1.0], [-1, 1])]
     assert_allclose(central_loss(batch), oracle_central_loss(batch), rtol=1e-12)
