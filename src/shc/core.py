@@ -112,9 +112,6 @@ class CenterSet:
             return NotImplemented
         return np.array_equal(self.matrix, other.matrix)
 
-    def __hash__(self) -> int:
-        return hash((self.matrix.shape, self.matrix.tobytes()))
-
     def __repr__(self) -> str:
         return f"CenterSet(C={self.C}, q={self.q})"
 
@@ -166,17 +163,6 @@ class SimilarityMatrix:
             raise ValidationError(f"similarity entries exceed [-1, 1] by {overflow:g} (> {SNAP_TOL:g})")
         self.values = _symmetrize(arr, out=buf)
 
-    @classmethod
-    def _symmetrized(cls, arr) -> "SimilarityMatrix":
-        """The constructor's snap of a square matrix of finite entries, with none of its checks.
-
-        Stage 1 hands in its normalized class-mean rows or cosines, which
-        need not be near-symmetric: averaging them is this step's job.
-        """
-        matrix = cls.__new__(cls)
-        matrix.values = _symmetrize(arr)
-        return matrix
-
     @property
     def C(self) -> int:
         return int(self.values.shape[0])
@@ -185,9 +171,6 @@ class SimilarityMatrix:
         if not isinstance(other, SimilarityMatrix):
             return NotImplemented
         return np.array_equal(self.values, other.values)
-
-    def __hash__(self) -> int:
-        return hash((self.C, self.values.tobytes()))
 
     def __repr__(self) -> str:
         return f"SimilarityMatrix(C={self.C})"
@@ -233,9 +216,6 @@ class CodeDatabase:
             and np.array_equal(self.labels, other.labels)
             and np.array_equal(self.codes, other.codes)
         )
-
-    def __hash__(self) -> int:
-        return hash((self.q, self.labels.tobytes(), self.codes.tobytes()))
 
     def __repr__(self) -> str:
         return f"CodeDatabase(N={len(self)}, q={self.q})"

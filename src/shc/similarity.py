@@ -21,6 +21,7 @@ from .core import (
     SimilarityMatrix,
     ValidationError,
     _open_stream,
+    _symmetrize,
 )
 
 __all__ = [
@@ -159,16 +160,18 @@ def class_similarity_rows(labels, logits, mask: str = MASK_GROUND_TRUTH) -> np.n
 def _similarity_of_rows(rows) -> SimilarityMatrix:
     """S from the class-mean rows: each row minus its mean, over its largest deviation, then symmetrized.
 
-    The rows are normalized in place, in one pass, and handed to
-    :meth:`SimilarityMatrix._symmetrized`.  They are finite class means, so
-    each normalized row lies in [-1, 1] and needs no further check.
+    The rows are normalized in place, in one pass.  They are finite class
+    means, so each normalized row lies in [-1, 1], and their symmetrized S
+    meets the :class:`SimilarityMatrix` rule, whose snap keeps its bits.
     """
     rows -= rows.mean(axis=1, keepdims=True)
     scale = np.maximum(rows.max(axis=1), -rows.min(axis=1))  # max |row| with no abs temporary
     if (scale == 0.0).any():
         raise DegenerateInputError("cannot normalize a constant row")
     rows /= scale[:, None]
-    return SimilarityMatrix._symmetrized(rows)
+    S = _symmetrize(rows)
+    del rows  # freed before the constructor takes its buffer
+    return SimilarityMatrix(S)
 
 
 def build_similarity(labels, logits, mask: str = MASK_GROUND_TRUTH) -> SimilarityMatrix:
@@ -221,7 +224,7 @@ def cosine_similarity_matrix(embeddings) -> SimilarityMatrix:
     if zero.size:
         raise DegenerateInputError(f"zero-norm embeddings for classes: {zero.tolist()}")
     unit = arr / norms[:, None]
-    return SimilarityMatrix._symmetrized(unit @ unit.T)
+    return SimilarityMatrix(unit @ unit.T)
 
 
 # A header integer is spelled as a field's: ASCII digits, an optional sign, optional spaces around.

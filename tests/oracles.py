@@ -2,11 +2,10 @@
 
 The package runs one kernel for each of these: ``core._hamming`` on packed
 words for every distance and Gram matrix, ``evaluation._hit_stats`` for
-every AP, and ``similarity._similarity_of_rows`` with
-``SimilarityMatrix._symmetrized`` for stage 1.  The functions here restate
-what those kernels compute from first principles, on the unpacked {-1,+1}
-rows and in plain numpy, and import no kernel of ``shc``: only its types
-and errors.
+every AP, and ``similarity._similarity_of_rows`` with ``core._symmetrize``
+for stage 1.  The functions here restate what those kernels compute from
+first principles, on the unpacked {-1,+1} rows and in plain numpy, and
+import no kernel of ``shc``: only its types and errors.
 """
 
 import numpy as np

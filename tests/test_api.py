@@ -5,7 +5,7 @@ import importlib
 import pytest
 
 import shc
-from shc.core import CodeDatabase, SimilarityMatrix
+from shc.core import CenterSet, CodeDatabase, SimilarityMatrix
 
 MODULES = ["cli", "core", "similarity", "gv", "optimizer", "evaluation", "losses"]
 
@@ -55,3 +55,19 @@ def test_code_database_has_no_record_method():
 def test_similarity_matrix_has_no_snap_method():
     # the constructor snaps, as every similarity file and stage-2 array input did through snap
     assert not hasattr(SimilarityMatrix, "snap")
+
+
+def test_similarity_matrix_has_no_symmetrized_method():
+    # stage 1 hands its S to the constructor, which checks it like any other
+    assert not hasattr(SimilarityMatrix, "_symmetrized")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CenterSet([[1, -1]]),
+    lambda: SimilarityMatrix([[1.0]]),
+    lambda: CodeDatabase([0], [[1, -1]]),
+], ids=["CenterSet", "SimilarityMatrix", "CodeDatabase"])
+def test_types_are_unhashable(make):
+    # they compare by value and hold arrays, so none hashes
+    with pytest.raises(TypeError):
+        hash(make())

@@ -14,6 +14,7 @@ from shc.core import (
     MissingClassError,
     SimilarityMatrix,
     ValidationError,
+    _symmetrize,
 )
 from shc import similarity
 from shc.similarity import (
@@ -246,17 +247,17 @@ class TestNormalizeRow:
 
 class TestSymmetrize:
     def test_hand_arithmetic(self):
-        m = SimilarityMatrix._symmetrized(np.array([[0.9, 0.2], [0.4, 0.8]]))
-        assert_allclose(m.values, [[1.0, 0.3], [0.3, 1.0]])
-        assert m == symmetrize_and_unit_diag([[0.9, 0.2], [0.4, 0.8]])
+        sym = _symmetrize(np.array([[0.9, 0.2], [0.4, 0.8]]))
+        assert_allclose(sym, [[1.0, 0.3], [0.3, 1.0]])
+        assert sym.tobytes() == symmetrize_and_unit_diag([[0.9, 0.2], [0.4, 0.8]]).values.tobytes()
 
     def test_symmetric_input_unchanged_off_diagonal(self):
-        m = SimilarityMatrix._symmetrized(np.array([[0.5, -0.25], [-0.25, 0.7]]))
-        assert m.values[0, 1] == -0.25
-        assert (np.diag(m.values) == 1.0).all()
+        sym = _symmetrize(np.array([[0.5, -0.25], [-0.25, 0.7]]))
+        assert sym[0, 1] == -0.25
+        assert (np.diag(sym) == 1.0).all()
 
     def test_1x1_diagonal_rule(self):
-        assert SimilarityMatrix._symmetrized(np.array([[0.2]])).values.tolist() == [[1.0]]
+        assert _symmetrize(np.array([[0.2]])).tolist() == [[1.0]]
 
     def test_non_square(self):
         with pytest.raises(DimensionMismatchError):
@@ -315,6 +316,19 @@ class TestEveryProducer:
         assert (np.diag(values) == 1.0).all()
         assert np.abs(values).max() <= 1.0
         assert not values.flags.writeable
+
+    @pytest.mark.parametrize("name", sorted(PRODUCERS))
+    def test_goes_through_the_constructor_once(self, name, monkeypatch):
+        calls = []
+        init = SimilarityMatrix.__init__
+
+        def counted(self, values):
+            calls.append(1)
+            init(self, values)
+
+        monkeypatch.setattr(SimilarityMatrix, "__init__", counted)
+        PRODUCERS[name](np.random.default_rng(5), 5)
+        assert len(calls) == 1
 
 
 class TestBuildSimilarity:
