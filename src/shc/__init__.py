@@ -26,7 +26,6 @@ from .core import (
 )
 from .evaluation import DEFAULT_PR_GRID, EvalReport, evaluate
 from .gv import compute_min_distance
-from .losses import LossConfig, central_loss, quantization_loss, total_loss
 from .optimizer import descend, init_centers, quality_metrics
 from .similarity import (
     build_similarity,
@@ -60,10 +59,6 @@ __all__ = [
     "init_centers",
     "descend",
     "quality_metrics",
-    "LossConfig",
-    "central_loss",
-    "quantization_loss",
-    "total_loss",
     "EvalReport",
     "DEFAULT_PR_GRID",
     "evaluate",

@@ -33,11 +33,11 @@ def compute_min_distance(q: int, C: int) -> int:
     total = 2**q
     ball = 0
     term = 1  # binom(q, d - 1), updated in O(q) big-int steps instead of recomputed
-    for d in range(1, q + 1):
+    for d in range(1, q):
         ball += term
         if total <= C * ball:
             return d
         term = term * (q - d + 1) // d
-    # Unreachable: d = q gives ball = 2^q - 1 and C >= 2 always satisfies
+    # d = q always qualifies: it gives ball = 2^q - 1, and C >= 2 satisfies
     # 2^q <= C * (2^q - 1).
-    raise InfeasibleError(f"no feasible minimum distance for q={q}, C={C}")
+    return q

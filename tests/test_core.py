@@ -434,6 +434,33 @@ class TestCenterSetAndDatabase:
         assert str(info.value) == "labels must be 1-dimensional"
 
 
+VALUE_TYPES = {
+    "CenterSet": lambda: CenterSet([[1, -1, 1], [-1, -1, 1]]),
+    "SimilarityMatrix": lambda: SimilarityMatrix([[1.0, 0.5], [0.5, 1.0]]),
+    "CodeDatabase": lambda: CodeDatabase([0, 1, 1], [[1, -1], [-1, -1], [1, 1]]),
+}
+
+
+@pytest.mark.parametrize("name, changed, text", [
+    ("CenterSet", [lambda: CenterSet([[1, -1, 1], [-1, 1, 1]])], "CenterSet(C=2, q=3)"),
+    ("SimilarityMatrix", [lambda: SimilarityMatrix([[1.0, -0.5], [-0.5, 1.0]])], "SimilarityMatrix(C=2)"),
+    ("CodeDatabase", [
+        lambda: CodeDatabase([0, 1, 2], [[1, -1], [-1, -1], [1, 1]]),
+        lambda: CodeDatabase([0, 1, 1], [[1, -1], [-1, -1], [1, -1]]),
+    ], "CodeDatabase(N=3, q=2)"),
+], ids=["CenterSet", "SimilarityMatrix", "CodeDatabase"])
+def test_value_types_compare_by_value_and_repr_their_shape(name, changed, text):
+    value = VALUE_TYPES[name]()
+    assert value == VALUE_TYPES[name]() and not value != VALUE_TYPES[name]()
+    for make in changed:  # one entry (a bit, a similarity pair or a label) differs
+        assert value != make() and not value == make()
+    # another value type, or a string, is not compared: __eq__ defers and == falls back to identity
+    for other in [make() for n, make in VALUE_TYPES.items() if n != name] + [text]:
+        assert value.__eq__(other) is NotImplemented
+        assert (value == other) is False and (other == value) is False
+    assert repr(value) == text
+
+
 @pytest.mark.parametrize("q", [64, 65, 128])
 def test_fortran_ordered_rows_give_the_c_ordered_results(q):
     # the types hold C-ordered int8, so the packed kernel gets contiguous words whatever the input order
