@@ -393,7 +393,7 @@ class TestHelp:
             assert command in text
 
 
-def run_python(args, **env):
+def run_python(args, cwd=None, **env):
     """Run a child interpreter that imports the same shc as this test, installed or not."""
     src = str(Path(shc.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -401,6 +401,7 @@ def run_python(args, **env):
         [sys.executable, *args],
         capture_output=True,
         text=True,
+        cwd=cwd,
         env={**os.environ, **env, "PYTHONPATH": path},
     )
 
@@ -410,6 +411,23 @@ class TestEntryPoint:
         proc = run_python(["-m", "shc", "gvbound", "--bits", "64", "--classes", "555"])
         assert proc.returncode == 0
         assert proc.stdout.strip() == "21"
+
+    # python -m shc hands main()'s code to the shell: 0 success, 1 usage or input fault, 2 infeasible
+    @pytest.mark.parametrize("args, code, out, err", [
+        (["gvbound", "--bits", "16", "--classes", "100"], 0, "4\n", ""),
+        (["--help"], 0, "usage: shc ", ""),
+        (["gvbound", "--bits", "1", "--classes", "3"], 2, "", "shc: infeasible: 3 classes do not fit"),
+        (["gvbound", "--bits", "16"], 1, "", "usage: shc gvbound "),
+        ([], 1, "", "usage: shc "),
+        (["inspect", "--centers", "missing.shc", "--sim", "missing.txt"], 1, "", "shc: error: "),
+    ], ids=["ok", "help", "infeasible", "missing-flag", "no-command", "missing-file"])
+    def test_exit_code_reaches_the_shell(self, args, code, out, err, tmp_path):
+        proc = run_python(["-m", "shc", *args], cwd=tmp_path)
+        assert proc.returncode == code
+        assert proc.stdout.startswith(out) and bool(proc.stdout) == bool(out)
+        assert proc.stderr.startswith(err) and bool(proc.stderr) == bool(err)
+        if code == 2 or err.startswith("shc: error"):
+            assert proc.stderr.count("\n") == 1  # a one-line diagnostic, no traceback
 
     def test_logits_beyond_float64_range_leave_stderr_empty(self, tmp_path):
         # the kept logits 1e308 and -1e308 overflow the softmax shift to -inf, whose exp is the limit 0

@@ -298,6 +298,62 @@ class TestCodesIO:
             read_codes(io.BytesIO(buf.getvalue()[:-1]))
 
 
+# Code lengths on each side of a byte and of a 64-bit word; the round-trip
+# properties above draw q <= 40 only.
+BOUNDARY_QS = [1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 255, 256, 257]
+
+
+def msb_first_bytes(row) -> bytes:
+    """One {-1,+1} row packed by the module rule: bit j to byte j//8 at position 7-(j%8), +1 as 1."""
+    out = bytearray((len(row) + 7) // 8)
+    for j, v in enumerate(row):
+        if v > 0:
+            out[j // 8] |= 1 << (7 - j % 8)
+    return bytes(out)
+
+
+class TestFileLayout:
+    @pytest.mark.parametrize("q", BOUNDARY_QS)
+    def test_centers_bytes_at_byte_and_word_boundaries(self, q):
+        rng = np.random.default_rng(q)
+        cs = CenterSet(rng.integers(0, 2, (5, q)) * 2 - 1)
+        buf = io.BytesIO()
+        write_centers(cs, buf)
+        data = buf.getvalue()
+        assert data[:12] == b"SHC1" + (5).to_bytes(4, "little") + q.to_bytes(4, "little")
+        assert data[12:] == b"".join(msb_first_bytes(row) for row in cs.matrix)
+        assert read_centers(io.BytesIO(data)) == cs
+
+    @pytest.mark.parametrize("q", BOUNDARY_QS)
+    def test_codes_bytes_at_byte_and_word_boundaries(self, q):
+        rng = np.random.default_rng(q)
+        labels = [0, 2**32 - 1, 7, 65536]
+        db = CodeDatabase(labels, rng.integers(0, 2, (4, q)) * 2 - 1)
+        buf = io.BytesIO()
+        write_codes(db, buf)
+        data = buf.getvalue()
+        assert data[:12] == b"SHCD" + (4).to_bytes(4, "little") + q.to_bytes(4, "little")
+        records = b"".join(label.to_bytes(4, "little") + msb_first_bytes(row) for label, row in zip(labels, db.codes))
+        assert data[12:] == records
+        assert read_codes(io.BytesIO(data)) == db
+
+    @pytest.mark.parametrize("q", [1, 7, 9, 65, 129])
+    @pytest.mark.parametrize("kind", ["centers", "codes"])
+    def test_every_pad_bit_is_checked(self, kind, q):
+        rows = np.ones((2, q), dtype=np.int8)
+        value = CenterSet(rows) if kind == "centers" else CodeDatabase([3, 4], rows)
+        buf = io.BytesIO()
+        (write_centers if kind == "centers" else write_codes)(value, buf)
+        data = buf.getvalue()
+        reader = read_centers if kind == "centers" else read_codes
+        assert reader(io.BytesIO(data)) == value
+        for pad in range(-q % 8):  # the last byte of the second row holds the pad bits in its low end
+            bad = bytearray(data)
+            bad[-1] |= 1 << pad
+            with pytest.raises(FormatError, match="nonzero pad bits"):
+                reader(io.BytesIO(bytes(bad)))
+
+
 class TestSimilarityMatrix:
     def test_invariants_enforced(self):
         with pytest.raises(ValidationError):

@@ -348,6 +348,21 @@ class TestEvaluate:
             assert_allclose(report.recall_curve[idx][1], want["recall"][:, idx].mean(), atol=1e-12)
             assert report.pr_curve[idx] == (report.recall_curve[idx][1], report.precision_curve[idx][1])
 
+    @pytest.mark.parametrize("q", [1, 63, 64, 65, 129])
+    def test_matches_naive_oracle_at_word_boundaries(self, q):
+        # q = 1 ties nearly every record; 63..65 and 129 end a packed word short of, at and past its end
+        rng = np.random.default_rng(q)
+        db = random_db(rng, 80, q, 4)
+        queries = random_db(rng, 10, q, 4)
+        queries = CodeDatabase(np.r_[4, queries.labels[1:]], queries.codes)  # label 4 has no record in db
+        ks = [1, 5, 40, 80, 200]
+        report = evaluate(queries, db, ks, pr_grid=ks)
+        want = naive_metrics(queries, db, ks)
+        for idx, k in enumerate(ks):
+            assert_allclose(report.map_at[k], want["ap"][:, idx].mean(), atol=1e-12)
+            assert_allclose(report.precision_curve[idx][1], want["precision"][:, idx].mean(), atol=1e-12)
+            assert_allclose(report.recall_curve[idx][1], want["recall"][:, idx].mean(), atol=1e-12)
+
     def test_recall_non_decreasing(self):
         rng = np.random.default_rng(5)
         db = random_db(rng, 80, 8, 4)

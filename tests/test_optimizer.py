@@ -40,6 +40,7 @@ from alm_reference import (
     update_proxy,
     update_slack,
 )
+from oracles import hamming_matrix
 
 
 def random_state(rng, q, C, d=None):
@@ -615,6 +616,26 @@ class TestQualityMetrics:
         d_min, s_loss = quality_metrics(cs, [[1.0]])
         assert d_min is None
         assert s_loss == 0.0
+
+    @pytest.mark.parametrize("q", [1, 8, 63, 64, 65, 129])
+    def test_matches_unpacked_oracle_at_word_boundaries(self, q):
+        rng = np.random.default_rng(q)
+        C = 9
+        H = (rng.integers(0, 2, (C, q)) * 2 - 1).astype(np.int8)
+        S = random_similarity(rng, C)
+        H[4] = H[1]  # a duplicate pair: d_min is 0 at every q
+        assert quality_metrics(CenterSet(H), S)[0] == 0
+        H[4] = -H[1]  # its complement instead, at distance q
+        d_min, s_loss = quality_metrics(CenterSet(H), S)
+        off_diagonal = ~np.eye(C, dtype=bool)
+        assert d_min == int(hamming_matrix(H, H)[off_diagonal].min())
+        G = H.astype(np.float64) @ H.T.astype(np.float64)
+        assert_allclose(s_loss, float(((S - G / q) ** 2).sum()), rtol=1e-12)
+
+    def test_exhaustive_fallback_refuses_codes_it_cannot_enumerate(self):
+        # beyond q = 20 the 2^q codewords are not enumerated
+        with pytest.raises(ShcError, match="could not draw a candidate distinct from accepted centers"):
+            _exhaustive_max_min(_pack_words(np.ones((1, 21), dtype=np.int8)), 21)
 
 
 GATE_C, GATE_Q = 6, 16
