@@ -27,12 +27,7 @@ from .core import (
 from .evaluation import DEFAULT_PR_GRID, EvalReport, evaluate
 from .gv import compute_min_distance
 from .optimizer import descend, init_centers, quality_metrics
-from .similarity import (
-    build_similarity,
-    class_similarity_rows,
-    cosine_similarity_matrix,
-    masked_softmax,
-)
+from .similarity import build_similarity, cosine_similarity_matrix
 
 __version__ = "0.1.0"
 
@@ -52,8 +47,6 @@ __all__ = [
     "write_codes",
     "read_codes",
     "compute_min_distance",
-    "masked_softmax",
-    "class_similarity_rows",
     "build_similarity",
     "cosine_similarity_matrix",
     "init_centers",

@@ -40,6 +40,11 @@ _U32X2 = struct.Struct("<II")
 # from symmetry, a unit diagonal and [-1, 1] before they are snapped exactly.
 SNAP_TOL = 1e-9
 
+# Bytes that a pass over C x C entries works on at a time, in row blocks or
+# flat segments: stage 2's Gram, distance and loss passes and the descent's
+# screen, and the similarity writer's formatted rows.
+_BLOCK_BYTES = 1 << 18
+
 
 class ShcError(Exception):
     """Base class for all errors raised by this package."""
@@ -219,6 +224,15 @@ class CodeDatabase:
 
     def __repr__(self) -> str:
         return f"CodeDatabase(N={len(self)}, q={self.q})"
+
+
+def _row_blocks(rows: int, row_bytes: int, budget: int | None = None) -> list[slice]:
+    """Slices of consecutive rows, each at most ``budget`` bytes at ``row_bytes`` a row (one row at least).
+
+    The budget defaults to _BLOCK_BYTES, read when called.
+    """
+    step = max(1, (_BLOCK_BYTES if budget is None else budget) // max(1, row_bytes))
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
 def _pack_words(rows) -> np.ndarray:

@@ -25,6 +25,7 @@ from .core import (
     ValidationError,
     _hamming,
     _pack_words,
+    _row_blocks,
 )
 
 __all__ = [
@@ -211,13 +212,12 @@ def evaluate(
     cut_arr = np.asarray(cutoffs)
 
     n_q = len(queries)
-    rows = max(1, EVAL_CHUNK_BYTES // (EVAL_BYTES_PER_PAIR * len(db)))
-    chunks = [slice(i, i + rows) for i in range(0, n_q, rows)]
+    chunks = _row_blocks(n_q, EVAL_BYTES_PER_PAIR * len(db), EVAL_CHUNK_BYTES)
     workers = max(1, int(workers))
     log.info(
         "evaluate: %d queries in %d chunks of up to %d rows (%d B per query x record pair, "
         "%d B per chunk, %d records), %d workers",
-        n_q, len(chunks), min(rows, n_q), EVAL_BYTES_PER_PAIR, EVAL_CHUNK_BYTES, len(db), workers,
+        n_q, len(chunks), chunks[0].stop, EVAL_BYTES_PER_PAIR, EVAL_CHUNK_BYTES, len(db), workers,
     )
     db_words = np.asfortranarray(_pack_words(db.codes))  # packed once, each word contiguous
     by_label = np.argsort(db.labels, kind="stable")  # each label's records, found by bisection

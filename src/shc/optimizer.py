@@ -22,6 +22,7 @@ import logging
 import numpy as np
 
 from .core import (
+    _BLOCK_BYTES,
     CenterSet,
     DimensionMismatchError,
     ShcError,
@@ -30,6 +31,7 @@ from .core import (
     _flip_bit,
     _hamming,
     _pack_words,
+    _row_blocks,
     _unpack_words,
 )
 from .gv import _check_code_space
@@ -52,9 +54,6 @@ INIT_HADAMARD = "hadamard"
 _CANDIDATES_PER_SLOT = 200
 # Candidates ranked at a time against the accepted centers.
 _RANK_BLOCK = 16
-# Bytes that a pass over C x C entries (the Gram, distance and loss passes and the
-# descent's screen) works on at a time, in row blocks or flat segments.
-_BLOCK_BYTES = 1 << 18
 
 
 def _similarity(S, C: int | None = None) -> SimilarityMatrix:
@@ -72,12 +71,6 @@ def _check_distance(d: int, q: int) -> None:
     """Check that a distance target d lies in [1, q]."""
     if not 1 <= d <= q:
         raise ValidationError(f"d must lie in [1, {q}], got {d}")
-
-
-def _row_blocks(rows: int, row_bytes: int) -> list[slice]:
-    """Slices of consecutive rows, each at most _BLOCK_BYTES at ``row_bytes`` a row (one row at least)."""
-    step = max(1, _BLOCK_BYTES // max(1, row_bytes))
-    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
 def _gram(rows) -> np.ndarray:

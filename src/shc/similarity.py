@@ -21,14 +21,13 @@ from .core import (
     SimilarityMatrix,
     ValidationError,
     _open_stream,
+    _row_blocks,
     _symmetrize,
 )
 
 __all__ = [
     "MASK_GROUND_TRUTH",
     "MASK_ARGMAX",
-    "masked_softmax",
-    "class_similarity_rows",
     "build_similarity",
     "stream_similarity",
     "cosine_similarity_matrix",
@@ -58,31 +57,19 @@ LOGIT_CHUNK_BYTES = 1 << 20
 LOGIT_BYTES_PER_VALUE = 27
 
 
-def masked_softmax(logits, masked) -> np.ndarray:
+def _masked_softmax(logits: np.ndarray, masked: np.ndarray) -> np.ndarray:
     """Row-wise softmax of (N, C) logits with entry ``masked[i]`` of row i pinned to 0.
 
     The masked entry is excluded from the normalization (equivalent to
     setting its logit to -inf) and the rest use max-subtraction for
-    stability, so every output row sums to 1.
+    stability, so every output row sums to 1.  Its caller, ``_ClassSums.add``,
+    has checked the input: finite 2-d float64 logits, C >= 2, and N integer
+    indices in [0, C).
     """
-    arr = np.asarray(logits, dtype=np.float64)
-    masked = np.asarray(masked)
-    if arr.ndim != 2:
-        raise ValidationError(f"logits must be an (N, C) matrix, got shape {arr.shape}")
-    N, C = arr.shape
-    if masked.shape != (N,):
-        raise DimensionMismatchError(f"{masked.shape} masked indices for {N} logit rows")
-    if masked.size and not np.issubdtype(masked.dtype, np.integer):
-        raise ValidationError(f"masked indices must be integers, got dtype {masked.dtype}")
-    if not np.isfinite(arr).all():
-        raise ValidationError("logits must be finite")
-    if C < 2:
-        raise DegenerateInputError("masked softmax needs at least 2 classes")
-    if ((masked < 0) | (masked >= C)).any():
-        raise ValidationError(f"masked indices must lie in [0, {C}), got {masked.min()}..{masked.max()}")
+    N, C = logits.shape
     keep = np.ones((N, C), dtype=bool)
-    keep[np.arange(N), masked.astype(np.intp, copy=False)] = False  # an empty list is float64
-    z = arr[keep].reshape(N, C - 1)
+    keep[np.arange(N), masked] = False
+    z = logits[keep].reshape(N, C - 1)
     with np.errstate(over="ignore"):  # kept logits spanning more than float64's range shift to -inf, exp 0
         z -= z.max(axis=1, keepdims=True)
     np.exp(z, out=z)
@@ -121,7 +108,7 @@ class _ClassSums:
             self.finite = self.finite and bool(np.isfinite(logits).all())
             if self.finite and self.C >= 2:
                 masked = labels if self.mask == MASK_GROUND_TRUTH else logits.argmax(axis=1)
-                np.add.at(self.sums, labels, masked_softmax(logits, masked))
+                np.add.at(self.sums, labels, _masked_softmax(logits, masked))
 
     def labels_in_range(self) -> bool:
         return 0 <= self.low and self.high < self.C
@@ -135,26 +122,6 @@ class _ClassSums:
         if self.C < 2:
             raise DegenerateInputError("masked softmax needs at least 2 classes")
         return self.sums / self.counts[:, None]
-
-
-def class_similarity_rows(labels, logits, mask: str = MASK_GROUND_TRUTH) -> np.ndarray:
-    """Mean masked-softmax vector per class over (N,) labels and (N, C) logits.
-
-    Rows are indexed by class id, and every class 0..C-1 must have at least
-    one record.  ``mask`` selects whether each record masks its ground-truth
-    label or its predicted (argmax) class.
-    """
-    sums = _ClassSums(mask)
-    labels = np.asarray(labels)
-    if labels.size and not np.issubdtype(labels.dtype, np.integer):  # as in CodeDatabase: no floats, bools, strings
-        raise ValidationError(f"labels must be integers, got dtype {labels.dtype}")
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2 or labels.shape != logits.shape[:1]:
-        raise DimensionMismatchError(f"labels of shape {labels.shape} for logits of shape {logits.shape}")
-    sums.add(labels, logits)
-    if not sums.labels_in_range():
-        raise ValidationError(f"labels must lie in [0, {sums.C}), got {sums.low}..{sums.high}")
-    return sums.mean_rows()
 
 
 def _similarity_of_rows(rows) -> SimilarityMatrix:
@@ -175,8 +142,23 @@ def _similarity_of_rows(rows) -> SimilarityMatrix:
 
 
 def build_similarity(labels, logits, mask: str = MASK_GROUND_TRUTH) -> SimilarityMatrix:
-    """Full logits-to-similarity pipeline over (N,) labels and (N, C) logits."""
-    return _similarity_of_rows(class_similarity_rows(labels, logits, mask=mask))
+    """Full logits-to-similarity pipeline over (N,) integer labels and (N, C) logits.
+
+    Every class 0..C-1 must have at least one record.  ``mask`` selects
+    whether each record masks its ground-truth label or its predicted
+    (argmax) class.
+    """
+    sums = _ClassSums(mask)
+    labels = np.asarray(labels)
+    if labels.size and not np.issubdtype(labels.dtype, np.integer):  # as in CodeDatabase: no floats, bools, strings
+        raise ValidationError(f"labels must be integers, got dtype {labels.dtype}")
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim != 2 or labels.shape != logits.shape[:1]:
+        raise DimensionMismatchError(f"labels of shape {labels.shape} for logits of shape {logits.shape}")
+    sums.add(labels, logits)
+    if not sums.labels_in_range():
+        raise ValidationError(f"labels must lie in [0, {sums.C}), got {sums.low}..{sums.high}")
+    return _similarity_of_rows(sums.mean_rows())
 
 
 def stream_similarity(source, mask: str = MASK_GROUND_TRUTH) -> SimilarityMatrix:
@@ -298,12 +280,6 @@ def read_embeddings(source) -> np.ndarray:
     return rows["values"]
 
 
-# write_similarity formats S's upper triangle once, packed row by row, in
-# blocks of whole rows of about this many bytes of cells, and writes each
-# block's rows once their cells are in.  Its traced peak is the triangle's
-# C(C+1)/2 cells plus about 8 blocks, the kernel's temporaries: 6.5 / 49.9
-# MiB at C = 600 / 2000.  Smaller blocks cost more numpy calls per entry.
-_WRITE_BLOCK_BYTES = 1 << 18
 # A formatted entry: the bytes of its %.17g text (at most 24) in order, with
 # NULs among them, then a comma.  The writer drops the NULs.
 _CELL = 25
@@ -371,19 +347,20 @@ def write_similarity(matrix: SimilarityMatrix, sink) -> None:
     The bytes are those of ``np.savetxt(fh, values, fmt="%.17g", delimiter=",")``.
     S is bitwise symmetric, so only its upper triangle is formatted, packed
     row by row; row i is written as column i of the earlier rows followed
-    by its own upper part.
+    by its own upper part.  Rows are formatted and written in blocks of
+    core's block budget of cells: the traced peak is the triangle's
+    C(C+1)/2 cells plus about 8 blocks, 6.5 / 49.9 MiB at C = 600 / 2000.
     """
     values = matrix.values
     C = matrix.C
     start = np.zeros(C + 1, dtype=np.int64)  # row i's upper part is cells[start[i]:start[i + 1]]
     np.cumsum(np.arange(C, 0, -1), out=start[1:])
     cells = np.empty((start[-1], _CELL), dtype=np.uint8)
-    block = max(1, _WRITE_BLOCK_BYTES // (_CELL * C))
     j = np.arange(C)
     with _open_stream(sink, "w") as fh:
         fh.write(f"{C}\n")
-        for i0 in range(0, C, block):
-            i1 = min(i0 + block, C)
+        for block in _row_blocks(C, _CELL * C):
+            i0, i1 = block.start, block.stop
             i = np.arange(i0, i1)[:, None]
             cells[start[i0]:start[i1]] = _format_cells(values[i0:i1][j >= i])
             # entry (i, j) is the cell of (min(i, j), max(i, j)), formatted in this block or an earlier one

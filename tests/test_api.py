@@ -32,6 +32,10 @@ REMOVED = [
     "central_loss",
     "quantization_loss",
     "total_loss",
+    # stage 1's internals: build_similarity (arrays) and stream_similarity (a logit file)
+    # are its doors, and nothing outside stage 1 called these
+    "masked_softmax",
+    "class_similarity_rows",
 ]
 
 

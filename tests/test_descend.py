@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shc.core import CenterSet, DimensionMismatchError, ValidationError, _pack_words
+from shc.core import _BLOCK_BYTES, CenterSet, DimensionMismatchError, ValidationError, _pack_words
 from shc.gv import compute_min_distance
 from shc.optimizer import (
-    _BLOCK_BYTES,
     INIT_HADAMARD,
     _close_pairs,
     _d_min,

@@ -21,9 +21,7 @@ from shc.similarity import (
     MASK_ARGMAX,
     MASK_GROUND_TRUTH,
     build_similarity,
-    class_similarity_rows,
     cosine_similarity_matrix,
-    masked_softmax,
     read_embeddings,
     read_similarity,
     stream_similarity,
@@ -70,20 +68,32 @@ def synthetic_logits(rng, C, per_class, confusion=None):
     return labels, logits
 
 
+def softmax(logits, masked):
+    """similarity._masked_softmax on the float64 logits and integer indices its caller hands it."""
+    return similarity._masked_softmax(np.array(logits, dtype=np.float64), np.array(masked, dtype=np.int64))
+
+
+def class_means(labels, logits, mask=MASK_GROUND_TRUTH):
+    """The mean masked-softmax row of each class, as build_similarity forms them before it normalizes."""
+    sums = similarity._ClassSums(mask)
+    sums.add(np.asarray(labels), np.asarray(logits, dtype=np.float64))
+    return sums.mean_rows()
+
+
 class TestMaskedSoftmax:
     def test_symmetric_logits(self):
-        assert_allclose(masked_softmax([[0.0, 0.0, 0.0]], [0]), [[0.0, 0.5, 0.5]])
+        assert_allclose(softmax([[0.0, 0.0, 0.0]], [0]), [[0.0, 0.5, 0.5]])
 
     def test_direct_softmax(self):
-        out = masked_softmax([[2.0, 1.0, 0.0]], [0])
+        out = softmax([[2.0, 1.0, 0.0]], [0])
         assert_allclose(out, [[0.0, 0.7310585786300049, 0.2689414213699951]], atol=1e-12)
 
     def test_single_unmasked_entry(self):
-        assert_allclose(masked_softmax([[5.0, -1000.0]], [0]), [[0.0, 1.0]])
+        assert_allclose(softmax([[5.0, -1000.0]], [0]), [[0.0, 1.0]])
 
     def test_kept_logits_beyond_float64_range(self):
         # 1e308 - (-1e308) overflows to -inf in the shift, whose exp is exactly the limit 0
-        assert masked_softmax([[1e308, -1e308, 0.0]], [2]).tolist() == [[1.0, 0.0, 0.0]]
+        assert softmax([[1e308, -1e308, 0.0]], [2]).tolist() == [[1.0, 0.0, 0.0]]
 
     def test_masked_entry_exactly_zero_and_sums_to_one(self):
         rng = np.random.default_rng(11)
@@ -91,7 +101,7 @@ class TestMaskedSoftmax:
             N, C = int(rng.integers(1, 20)), int(rng.integers(2, 12))
             logits = rng.normal(0, 50, (N, C))
             idx = rng.integers(0, C, N)
-            out = masked_softmax(logits, idx)
+            out = softmax(logits, idx)
             assert (out[np.arange(N), idx] == 0.0).all()
             assert (out >= 0).all()
             assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-9
@@ -101,53 +111,29 @@ class TestMaskedSoftmax:
         rng = np.random.default_rng(12)
         logits = rng.normal(0, 5, (30, 7))
         idx = rng.integers(0, 7, 30)
-        out = masked_softmax(logits, idx)
+        out = softmax(logits, idx)
         for i in range(30):
-            assert np.array_equal(out[i], masked_softmax(logits[i:i + 1], idx[i:i + 1])[0])
+            assert np.array_equal(out[i], softmax(logits[i:i + 1], idx[i:i + 1])[0])
 
-    def test_degenerate_single_class(self):
-        with pytest.raises(DegenerateInputError):
-            masked_softmax([[1.0]], [0])
-
-    def test_bad_index_and_nonfinite(self):
-        with pytest.raises(ValidationError):
-            masked_softmax([[1.0, 2.0]], [2])
-        with pytest.raises(ValidationError):
-            masked_softmax([[1.0, 2.0]], [-1])
-        with pytest.raises(ValidationError):
-            masked_softmax([[1.0, np.inf]], [0])
-        with pytest.raises(ValidationError):
-            masked_softmax([1.0, 2.0], [0])
-
-    def test_index_count_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            masked_softmax([[1.0, 2.0], [3.0, 4.0]], [0])
-
-    @pytest.mark.parametrize("masked", [[0.0, 1.0], [True, False], ["0", "1"]])
-    def test_indices_must_be_integers(self, masked):
-        # a float index is not truncated, nor a bool one read as a row mask
-        with pytest.raises(ValidationError, match="masked indices must be integers"):
-            masked_softmax([[1.0, 2.0], [3.0, 4.0]], masked)
-
-    def test_no_rows_take_an_empty_list(self):
-        assert masked_softmax(np.zeros((0, 3)), []).shape == (0, 3)
+    def test_empty_batch(self):
+        assert softmax(np.zeros((0, 3)), []).shape == (0, 3)
 
 
 class TestClassRows:
     def test_mean_of_identical_vectors(self):
-        rows = class_similarity_rows([0, 0, 1, 2], np.zeros((4, 3)))
+        rows = class_means([0, 0, 1, 2], np.zeros((4, 3)))
         assert_allclose(rows[0], [0.0, 0.5, 0.5])
 
     def test_two_point_mean(self):
         # class-0 records put all unmasked mass on class 1 resp. class 2
         logits = [[0.0, 1000.0, -1000.0], [0.0, -1000.0, 1000.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
-        rows = class_similarity_rows([0, 0, 1, 2], logits)
+        rows = class_means([0, 0, 1, 2], logits)
         assert_allclose(rows[0], [0.0, 0.5, 0.5], atol=1e-300)
 
     def test_singleton_mean(self):
-        rows = class_similarity_rows([0, 1], [[1.0, 2.0], [3.0, -1.0]])
-        assert_allclose(rows[0], masked_softmax([[1.0, 2.0]], [0])[0])
-        assert_allclose(rows[1], masked_softmax([[3.0, -1.0]], [1])[0])
+        rows = class_means([0, 1], [[1.0, 2.0], [3.0, -1.0]])
+        assert_allclose(rows[0], softmax([[1.0, 2.0]], [0])[0])
+        assert_allclose(rows[1], softmax([[3.0, -1.0]], [1])[0])
 
     def test_sums_in_record_order(self):
         # bit-identical to accumulating one record at a time, in file order
@@ -157,60 +143,74 @@ class TestClassRows:
         labels, logits = labels[order], logits[order]
         sums = np.zeros((4, 4))
         for lab, row in zip(labels, logits):
-            sums[lab] += masked_softmax(row[None], [lab])[0]
-        assert np.array_equal(class_similarity_rows(labels, logits), sums / 9)
+            sums[lab] += softmax(row[None], [lab])[0]
+        assert np.array_equal(class_means(labels, logits), sums / 9)
 
     def test_missing_class_lists_ids(self):
         with pytest.raises(MissingClassError) as exc:
-            class_similarity_rows([0], [[0.0, 0.0, 0.0]])
+            build_similarity([0], [[0.0, 0.0, 0.0]])
         assert exc.value.missing == [1, 2]
+        # no records at all: an empty label list reaches the softmax as an empty batch
+        with pytest.raises(MissingClassError) as exc:
+            build_similarity([], np.zeros((0, 3)))
+        assert exc.value.missing == [0, 1, 2]
 
     def test_argmax_masking_differs_for_misclassified(self):
         # label 0 but argmax is class 1: ground-truth masking zeroes entry 0,
         # argmax masking zeroes entry 1
         labels = [0, 1, 2]
         logits = [[1.0, 5.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
-        gt = class_similarity_rows(labels, logits)
-        am = class_similarity_rows(labels, logits, mask=MASK_ARGMAX)
+        gt = class_means(labels, logits)
+        am = class_means(labels, logits, mask=MASK_ARGMAX)
         assert gt[0, 0] == 0.0
         assert am[0, 1] == 0.0
         assert am[0, 0] > 0.0
 
     def test_wrong_logit_length(self):
         with pytest.raises(DimensionMismatchError):
-            class_similarity_rows([0, 1], [[1.0, 2.0, 3.0]])
+            build_similarity([0, 1], [[1.0, 2.0, 3.0]])
         with pytest.raises(DimensionMismatchError):
-            class_similarity_rows([0], [1.0, 2.0, 3.0])
+            build_similarity([0], [1.0, 2.0, 3.0])
 
     def test_label_out_of_range(self):
         with pytest.raises(ValidationError):
-            class_similarity_rows([0, 3], np.zeros((2, 3)))
+            build_similarity([0, 3], np.zeros((2, 3)))
         with pytest.raises(ValidationError):
-            class_similarity_rows([0, -1], np.zeros((2, 3)))
+            build_similarity([0, -1], np.zeros((2, 3)))
 
     def test_label_range_is_reported_as_passed(self):
         # a uint64 label of 2**63 or more must not wrap to a negative label no caller passed
         labels = np.array([0, 2**63 + 1, 1], dtype=np.uint64)
         with pytest.raises(ValidationError, match=f"labels must lie in \\[0, 3\\), got 0..{2**63 + 1}$"):
-            class_similarity_rows(labels, np.zeros((3, 3)))
+            build_similarity(labels, np.zeros((3, 3)))
 
     def test_unknown_mask(self):
         with pytest.raises(ValidationError):
-            class_similarity_rows([0, 1], np.zeros((2, 2)), mask="both")
+            build_similarity([0, 1], np.zeros((2, 2)), mask="both")
 
     @pytest.mark.parametrize("labels", [[0.0, 1.7, 2.2], [0.0, 1.0, 2.0], ["0", "1", "2"], [False, True, True]])
     def test_labels_must_be_integers(self, labels):
         # CodeDatabase's rule: 1.7 is not truncated to class 1, nor "1" parsed
         logits = np.random.default_rng(14).normal(size=(3, 3))
-        for build in (class_similarity_rows, build_similarity):
-            with pytest.raises(ValidationError, match="labels must be integers"):
-                build(labels, logits)
+        with pytest.raises(ValidationError, match="labels must be integers"):
+            build_similarity(labels, logits)
 
-    def test_any_integer_dtype_gives_the_same_rows(self):
+    def test_any_integer_dtype_gives_the_same_s(self):
         logits = np.random.default_rng(15).normal(size=(4, 3))
-        want = class_similarity_rows([0, 1, 2, 1], logits)
+        want = build_similarity([0, 1, 2, 1], logits).values
         for dtype in (np.uint8, np.int16, np.uint64):
-            assert np.array_equal(class_similarity_rows(np.array([0, 1, 2, 1], dtype=dtype), logits), want)
+            assert np.array_equal(build_similarity(np.array([0, 1, 2, 1], dtype=dtype), logits).values, want)
+
+    @pytest.mark.parametrize("labels, logits, error, message", [
+        ([0, 0], [[1.0], [2.0]], DegenerateInputError, "masked softmax needs at least 2 classes"),
+        ([0, 1], [[1.0, 2.0], [np.nan, 0.0]], ValidationError, "logits must be finite"),
+    ], ids=["one-class", "nonfinite"])
+    def test_faults_the_softmax_does_not_check(self, labels, logits, error, message):
+        # the array door reports them as the file door does, from the class sums
+        for mask in (MASK_GROUND_TRUTH, MASK_ARGMAX):
+            with pytest.raises(error) as exc:
+                build_similarity(labels, logits, mask=mask)
+            assert str(exc.value) == message
 
 
 class TestNormalizeRow:
@@ -346,7 +346,7 @@ class TestBuildSimilarity:
         logits = np.array([[5.0, 0.0, 0.0], [0.0, 5.0, 0.0], [0.0, 0.0, 5.0],
                            [0.0, 5.0, 1.0], [1.0, 0.0, 5.0]])
         labels = np.array([0, 0, 0, 1, 2])
-        assert np.allclose(class_similarity_rows(labels, logits, mask=MASK_ARGMAX)[0], 1 / 3)
+        assert np.allclose(class_means(labels, logits, mask=MASK_ARGMAX)[0], 1 / 3)
         with pytest.raises(DegenerateInputError, match="cannot normalize a constant row"):
             build_similarity(labels, logits, mask=MASK_ARGMAX)
         with pytest.raises(DegenerateInputError, match="cannot normalize a constant row"):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shc import similarity
+from shc import core, similarity
 from shc.cli import main
 from shc.core import ShcError, SimilarityMatrix
 from shc.similarity import (
@@ -351,7 +351,7 @@ class TestWriteSimilarity:
     @pytest.mark.parametrize("rows", [1, 3, 4, 10, 11])
     def test_bytes_do_not_depend_on_the_row_blocks(self, monkeypatch, rows):
         # C = 10 in blocks of 1, 3 and 4 rows (the last block short), 10 and 11
-        monkeypatch.setattr(similarity, "_WRITE_BLOCK_BYTES", rows * similarity._CELL * 10)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", rows * similarity._CELL * 10)
         S = unit_S(10)
         got = io.StringIO()
         write_similarity(S, got)
@@ -394,7 +394,7 @@ class TestWriteSimilarity:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= C * (C + 1) // 2 * similarity._CELL + 10 * similarity._WRITE_BLOCK_BYTES
+        assert peak <= C * (C + 1) // 2 * similarity._CELL + 10 * core._BLOCK_BYTES
 
     def test_mirrored_signed_zeros_are_written_as_savetxt_writes_them(self):
         # 0.0 mirrored by -0.0 becomes +0.0 both ways; -0.0 mirrored by -0.0 stays -0.0
