@@ -1,4 +1,4 @@
-"""Every name a package or test module imports is used there, or re-exported through its ``__all__``."""
+"""Every name a package, test or harness module imports is used there, or re-exported through its ``__all__``."""
 
 import ast
 from pathlib import Path
@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted([*(ROOT / "src" / "shc").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+FILES = sorted(path for folder in (ROOT / "src" / "shc", ROOT / "tests", ROOT / "quality") for path in folder.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

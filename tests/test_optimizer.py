@@ -215,12 +215,14 @@ class TestInitCenters:
             init_centers(8, 2, 2, seed=0, method="mds")
 
     @pytest.mark.parametrize("q", [2**k for k in range(9)])
-    def test_sylvester_hadamard_equals_scipy(self, q):
-        from scipy.linalg import hadamard
-
+    def test_sylvester_hadamard_rows(self, q):
+        # the defining properties: orthogonal rows, H H^T = qI, an all-ones first row and the
+        # Sylvester recursion H_2q = [[H, H], [H, -H]]
         rows = _sylvester_hadamard(q)
         assert rows.dtype == np.int8
-        assert np.array_equal(rows, hadamard(q))
+        assert np.array_equal(rows.astype(np.int64) @ rows.T, q * np.eye(q, dtype=np.int64))
+        assert (rows[0] == 1).all()
+        assert np.array_equal(_sylvester_hadamard(2 * q), np.block([[rows, rows], [rows, -rows]]))
 
 
 log = logging.getLogger("shc.optimizer")
