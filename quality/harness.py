@@ -14,10 +14,9 @@ codes every sample by its sign, and ``evaluate`` ranks the database for the
 queries.
 
 The arms are the Hadamard init, the greedy init, init + ``descend`` (what
-``shc centers`` runs), init + ``descend`` at ``--min-dist 1``, and the
-paper's ALM from ``tests/alm_reference.py`` with its default
-hyperparameters.  Numpy only and seeded: the report holds no timing, and
-two runs at one commit write the same report.  Nothing here gates a change.
+``shc centers`` runs) and init + ``descend`` at ``--min-dist 1``.  Numpy
+only and seeded: the report holds no timing, and two runs at one commit
+write the same report.  Nothing here gates a change.
 """
 
 import argparse
@@ -33,15 +32,13 @@ import numpy as np
 from shc import CodeDatabase, build_similarity, compute_min_distance, descend, evaluate, init_centers, quality_metrics
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "tests"))
-import alm_reference  # noqa: E402  (the paper's ALM lives beside the tests)
 
 D = 32
 PER_CLASS = {"train": 30, "database": 25, "query": 5}
 SOFTMAX_STEPS, SOFTMAX_RATE = 300, 0.5
 RIDGE_PER_SAMPLE = 1e-2
 SEEDS = range(100, 120)
-ARMS = ("hadamard", "init", "descend", "min_dist_1", "alm")
+ARMS = ("hadamard", "init", "descend", "min_dist_1")
 BASELINES = ("hadamard", "descend")  # each arm's per-seed MAP is paired against these
 
 
@@ -72,8 +69,8 @@ def draw(cfg: Config, rng) -> dict:
     for split, count in PER_CLASS.items():
         labels = np.repeat(np.arange(cfg.C), count)
         splits[split] = (means[labels] + cfg.noise * rng.normal(size=(len(labels), D)), labels)
-    X = splits["train"][0]
-    center, scale = X.mean(axis=0), X.std(axis=0)
+    train = splits["train"][0]
+    center, scale = train.mean(axis=0), train.std(axis=0)
     return {split: ((X - center) / scale, labels) for split, (X, labels) in splits.items()}
 
 
@@ -98,7 +95,6 @@ def arm_centers(S, q: int, d: int, seed: int) -> dict:
         "init": init,
         "descend": descend(S, init, d)[0],
         "min_dist_1": descend(S, init_centers(q, S.C, 1, seed), 1)[0],
-        "alm": alm_reference.optimize(S, q, d, seed=seed)[0],
     }
 
 
@@ -124,16 +120,14 @@ def run(cfg: Config, seed: int) -> dict:
     S = build_similarity(labels, logits)
     d = compute_min_distance(cfg.q, cfg.C)
     window = (cfg.q - 2 * d) / cfg.q
-    centers = arm_centers(S, cfg.q, d, seed)
     arms = {}
-    for name, arm in centers.items():
+    for name, arm in arm_centers(S, cfg.q, d, seed).items():
         map_100, map_all = retrieval(data, arm)
         arms[name] = {"map_100": map_100, "map_all": map_all, "s_loss": quality_metrics(arm, S)[1]}
     return {
         "seed": seed,
         "train_accuracy": float(np.mean(logits.argmax(axis=1) == labels)),
         "window_share": float(np.mean(S.values[np.triu_indices(cfg.C, 1)] > window)),
-        "alm_equals_init": bool(np.array_equal(centers["alm"].matrix, centers["init"].matrix)),
         "arms": arms,
     }
 
@@ -164,7 +158,6 @@ def report(cfg: Config, seeds) -> dict:
         "d": compute_min_distance(cfg.q, cfg.C),
         "train_accuracy": float(np.mean([r["train_accuracy"] for r in runs])),
         "window_share": float(np.mean([r["window_share"] for r in runs])),
-        "alm_equals_init": sum(r["alm_equals_init"] for r in runs),
         "summary": summarize(runs),
         "runs": runs,
     }
@@ -181,17 +174,14 @@ def main(argv=None) -> int:
     configs = []
     for cfg in CONFIGS:
         configs.append(report(cfg, SEEDS))
-        summary = configs[-1]["summary"]
-        print(f"{cfg}: train accuracy {configs[-1]['train_accuracy']:.2f}, "
-              f"ALM equals init on {configs[-1]['alm_equals_init']}/{len(SEEDS)}")
-        for arm in ARMS:
-            s = summary[arm]
-            gains = "  ".join(f"vs {base} {s[f'vs_{base}']['map_100']['mean_gain']:+.4f} "
-                              f"({s[f'vs_{base}']['map_100']['wins']}) / "
-                              f"{s[f'vs_{base}']['map_all']['mean_gain']:+.4f} ({s[f'vs_{base}']['map_all']['wins']})"
-                              for base in BASELINES if base != arm)
-            print(f"  {arm:10s} {s['map_100']['mean']:.4f} / {s['map_all']['mean']:.4f} / "
-                  f"{s['s_loss']['mean']:.1f}  {gains}")
+        print(f"{cfg}: train accuracy {configs[-1]['train_accuracy']:.2f}; "
+              "mean MAP@100 / MAP@all / s_loss, mean paired MAP gains (wins)")
+        for arm, row in configs[-1]["summary"].items():
+            gains = "  ".join(
+                f"vs {key[3:]} " + " / ".join(f"{g['mean_gain']:+.4f} ({g['wins']})" for g in row[key].values())
+                for key in row if key.startswith("vs_"))
+            print(f"  {arm:10s} {row['map_100']['mean']:.4f} / {row['map_all']['mean']:.4f} / "
+                  f"{row['s_loss']['mean']:.1f}  {gains}")
     record = {
         "commit": _git("rev-parse", "HEAD"),
         "tree_clean": _git("status", "--porcelain") == "",

@@ -56,13 +56,10 @@ _CANDIDATES_PER_SLOT = 200
 _RANK_BLOCK = 16
 
 
-def _similarity(S, C: int | None = None) -> SimilarityMatrix:
-    """S as a :class:`SimilarityMatrix`, the one way into stage 2; with ``C`` given, check it is C x C.
-
-    An instance passes through untouched; anything else goes through the constructor's rules.
-    """
+def _similarity(S, C: int) -> SimilarityMatrix:
+    """S as a C x C :class:`SimilarityMatrix`, the one way into stage 2: an instance as is, else constructed."""
     sim = S if isinstance(S, SimilarityMatrix) else SimilarityMatrix(S)
-    if C is not None and sim.C != C:
+    if sim.C != C:
         raise DimensionMismatchError(f"similarity is {sim.C}x{sim.C} but C={C}")
     return sim
 

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``).
 
-There is no criterion 8 (the retired loss kernels): the other criteria keep
-the numbers README cites them by.
+There are no criteria 3 and 4 (the retired ALM's gradient and proxy step)
+and no criterion 8 (the retired loss kernels): the other criteria keep the
+numbers README cites them by.
 """
 
 import itertools
@@ -11,7 +12,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from shc.cli import main
 from shc.core import CodeDatabase, SimilarityMatrix, _hamming, _pack_words
@@ -20,15 +20,6 @@ from shc.gv import compute_min_distance
 from shc.optimizer import _gram, descend, init_centers, quality_metrics, violation_count
 from shc.similarity import write_similarity
 
-from alm_reference import (
-    AlmHyperParams,
-    alm_objective,
-    center_gradient,
-    constrained_objective,
-    optimize,
-    update_proxy,
-)
-
 
 def _report(criterion: str, ok: bool, detail: str = ""):
     line = f"[acceptance] {criterion}: {'PASS' if ok else 'FAIL'}"
@@ -36,38 +27,6 @@ def _report(criterion: str, ok: bool, detail: str = ""):
         line += f"  ({detail})"
     print(line)
     assert ok, line
-
-
-def _alm_reference(S, q, d, seed):
-    """The paper's ALM with its default hyperparameters; returns the centers and its mu."""
-    hp = AlmHyperParams()
-    return optimize(S, q, d, hp, seed=seed)[0], hp.mu
-
-
-def _init_and_descend(S, q, d, seed):
-    """What `shc centers` runs: the greedy init, then `descend`, which minimizes s_loss alone (mu = 0)."""
-    return descend(S, init_centers(q, len(S), d, seed), d)[0], 0.0
-
-
-# Criteria 5, 6 and 10 hold for the paper's ALM (the reference) and for the shipped path.
-generators = pytest.mark.parametrize("generate", [_alm_reference, _init_and_descend], ids=["alm", "descend"])
-
-
-def _random_state_and_sim(rng, q, C):
-    from alm_reference import AlmState
-
-    H = (rng.integers(0, 2, (q, C)) * 2 - 1).astype(np.float64)
-    M = H + rng.normal(0, 0.5, (q, C))
-    K = np.abs(rng.normal(0, 2, (C, C)))
-    np.fill_diagonal(K, 0.0)
-    Lam = rng.normal(0, 0.3, (q, C))
-    Alpha = rng.normal(0, 0.3, (C, C))
-    np.fill_diagonal(Alpha, 0.0)
-    state = AlmState(H=H, M=M, K=K, Lam=Lam, Alpha=Alpha, d=int(rng.integers(1, q // 2 + 1)))
-    A = rng.uniform(-1, 1, (C, C))
-    S = (A + A.T) / 2
-    np.fill_diagonal(S, 1.0)
-    return state, S
 
 
 def test_criterion_1_gv_bound_exactness():
@@ -113,59 +72,7 @@ def test_criterion_2_hamming_euclid_identity():
     )
 
 
-def test_criterion_3_gradient_check():
-    rng = np.random.default_rng(33)
-    start = time.perf_counter()
-    worst = 0.0
-    for trial in range(50):
-        state, S = _random_state_and_sim(rng, 6, 4)
-        hp = AlmHyperParams(
-            mu=(0.625, 2.0)[trial % 2],
-            rho=(0.2, 1.5)[(trial // 2) % 2],
-            beta=(1e-6, 0.5)[trial % 2],
-        )
-        i = int(rng.integers(0, 4))
-        g = center_gradient(state, S, hp, i)
-        eps = 1e-5
-        fd = np.zeros(6)
-        for j in range(6):
-            orig = state.H[j, i]
-            state.H[j, i] = orig + eps
-            f_plus = alm_objective(state, S, hp)
-            state.H[j, i] = orig - eps
-            f_minus = alm_objective(state, S, hp)
-            state.H[j, i] = orig
-            fd[j] = (f_plus - f_minus) / (2 * eps)
-        worst = max(worst, np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12))
-    elapsed = time.perf_counter() - start
-    _report(
-        "criterion 3 (gradient vs finite differences)",
-        worst <= 1e-5 and elapsed < 5.0,
-        f"50 states, worst rel err {worst:.2e}, {elapsed:.2f}s",
-    )
-
-
-def test_criterion_4_proxy_step_optimality():
-    rng = np.random.default_rng(44)
-    hp = AlmHyperParams()
-    worst = 0.0
-    for _ in range(100):
-        q, C = int(rng.integers(2, 24)), int(rng.integers(1, 12))
-        state, S = _random_state_and_sim(rng, q, C)
-        M = update_proxy(state, S, hp)
-        A = (2.0 / q**2) * (state.H @ state.H.T) + hp.rho * np.eye(q)
-        B = (2.0 / q) * (state.H @ S) + state.Lam + hp.rho * state.H
-        ratio = np.linalg.norm(A @ M - B, axis=0) / (1.0 + np.linalg.norm(B, axis=0))
-        worst = max(worst, float(ratio.max()))
-    _report(
-        "criterion 4 (proxy-step optimality)",
-        worst <= 1e-8,
-        f"100 instances, worst residual ratio {worst:.2e}",
-    )
-
-
-@generators
-def test_criterion_5_tiny_instance_oracle(generate):
+def test_criterion_5_tiny_instance_oracle():
     q, C = 8, 2
     d = compute_min_distance(q, C)
     rng = np.random.default_rng(55)
@@ -173,8 +80,8 @@ def test_criterion_5_tiny_instance_oracle(generate):
     for trial in range(10):
         s = float(rng.uniform(-1, 1))
         S = np.array([[1.0, s], [s, 1.0]])
-        centers, mu = generate(S, q, d, trial)
-        got = constrained_objective(centers, S, mu)
+        centers, _ = descend(S, init_centers(q, C, d, trial), d)
+        got = quality_metrics(centers, S)[1]  # descend minimizes s_loss alone: the paper's mu is 0
         # exhaustive search over all 2^8 second codewords, first fixed all-ones
         h1 = np.ones(q)
         best = math.inf
@@ -185,7 +92,7 @@ def test_criterion_5_tiny_instance_oracle(generate):
             H = np.column_stack([h1, h2])
             G = H.T @ H
             fit = S - G / q
-            best = min(best, float((fit * fit).sum()) + mu * float(G.sum() - np.trace(G)))
+            best = min(best, float((fit * fit).sum()))
         feasible = violation_count(centers, d) == 0
         if not feasible or abs(got - best) > 1e-9:
             shortfalls.append((trial, s, got, best, feasible))
@@ -199,8 +106,7 @@ def test_criterion_5_tiny_instance_oracle(generate):
     )
 
 
-@generators
-def test_criterion_6_planted_center_recovery(generate):
+def test_criterion_6_planted_center_recovery():
     q, C = 32, 16
     d = compute_min_distance(q, C)
     start = time.perf_counter()
@@ -214,7 +120,7 @@ def test_criterion_6_planted_center_recovery(generate):
         np.fill_diagonal(S, 1.0)
         init = init_centers(q, C, d, seed)
         _, s_init = quality_metrics(init, S)
-        centers, _ = generate(S, q, d, seed)
+        centers, _ = descend(S, init, d)
         d_min, s_final = quality_metrics(centers, S)
         improved += s_final <= s_init + 1e-12
         spaced += d_min >= d
@@ -296,8 +202,7 @@ def test_criterion_9_cli_determinism(tmp_path):
     )
 
 
-@generators
-def test_criterion_10_synthetic_end_to_end(generate):
+def test_criterion_10_synthetic_end_to_end():
     start = time.perf_counter()
     q, C, per_class, flip = 32, 16, 100, 0.05
     d = compute_min_distance(q, C)
@@ -306,7 +211,7 @@ def test_criterion_10_synthetic_end_to_end(generate):
     S = rows @ rows.T / q
     np.clip(S, -1.0, 1.0, out=S)
     np.fill_diagonal(S, 1.0)
-    centers, _ = generate(S, q, d, 0)
+    centers, _ = descend(S, init_centers(q, C, d, 0), d)
     d_min, _ = quality_metrics(centers, S)
 
     def noisy_codes(count_per_class):

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import hashlib
 import json
 import logging
@@ -31,11 +30,8 @@ from shc.similarity import (
     stream_similarity,
     write_similarity,
 )
-from shc.gv import compute_min_distance
-from shc.optimizer import init_centers, quality_metrics, violation_count
+from shc.optimizer import init_centers, quality_metrics
 from shc.core import SimilarityMatrix
-
-from alm_reference import AlmHyperParams, optimize
 
 
 @pytest.fixture
@@ -182,7 +178,7 @@ class TestCenters:
         report = json.loads(report_path.read_text())
         assert report["d"] == 3
         assert report["violations"] == 0
-        # the ALM hyperparameters live only in tests/alm_reference.py (AlmHyperParams); no option takes them
+        # the paper's ALM is not part of the package, and no option takes its hyperparameters
         for flag, value in (("--mu", "0.1"), ("--rho", "0.2"), ("--beta", "1e-6"),
                             ("--eta", "0.5"), ("--cycles", "5"), ("--inner", "3")):
             capsys.readouterr()
@@ -467,10 +463,12 @@ class TestEntryPoint:
         assert any(n < 300 / 4 for n in flips[:-1])
 
     def test_package_source_imports_no_scipy(self):
-        # numpy is the only runtime dependency: no module of the package imports scipy, even lazily
-        package = Path(shc.__file__).parent
+        # numpy is the only runtime dependency, and the tests and the quality harness need nothing
+        # more: no module of the package, of tests/ or of quality/ imports scipy, even lazily
+        root = Path(__file__).resolve().parents[1]
         found = []
-        for path in sorted(package.glob("*.py")):
+        for path in sorted(p for folder in (Path(shc.__file__).parent, root / "tests", root / "quality")
+                           for p in folder.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Import):
                     names = [alias.name for alias in node.names]
@@ -478,7 +476,8 @@ class TestEntryPoint:
                     names = [node.module or ""]
                 else:
                     continue
-                found += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] == "scipy"]
+                found += [f"{path.parent.name}/{path.name}:{node.lineno} {name}"
+                          for name in names if name.split(".")[0] == "scipy"]
         assert found == []
 
     def test_only_the_hamming_kernel_counts_bits(self):
@@ -712,17 +711,6 @@ GOLDEN_SHA256 = {
     "sim_weak_argmax.txt": "284d1bf7458f860dcd7dddd99499f1db7c4365ff26c9bba0a115c240d7d5b375",
 }
 
-# sha256 of the files `shc centers --seed 3 --bits 16` wrote when it ran the
-# paper's ALM (alm_reference.optimize with the default hyperparameters) on the
-# two golden similarity files (recorded with numpy 2.4 on x86-64).  The
-# reference must keep these bytes.
-ALM_REFERENCE_SHA256 = {
-    "centers_emb.json": "360e27eca713fa4cd4cea7ea414645a1109e8b00fc476c5b0d1c7209d7f980f9",
-    "centers_emb.shc": "4cb7f220f6ca3758ff7e918503dcefddb0f0613e9d63b2435e11a17888260808",
-    "centers_log.json": "a16344b0c23282293992d0b5a7f42568aed3b60173dbc93c09e5c591c38653fd",
-    "centers_log.shc": "4b557ac569250f782ceb12dfbca622eb873e93ebcbc7b36dd8b3f0e9098bdbe3",
-}
-
 
 def run_golden_pipeline(tmp_path):
     """simmatrix (embeddings, logits, argmax-masked logits) -> centers --report -> eval, on seeded inputs.
@@ -770,28 +758,3 @@ class TestGoldenBytes:
         for name in ("d1", "emb", "log"):
             report = json.loads((tmp_path / f"centers_{name}.json").read_text(encoding="utf-8"))
             assert report["s_loss"] == report["objective_trace"][-1]
-
-    def test_alm_outputs_match_recorded_digests(self, tmp_path):
-        run_golden_pipeline(tmp_path)
-        ref = tmp_path / "ref"
-        ref.mkdir()
-        hp = AlmHyperParams()
-        for name in ("emb", "log"):
-            S = read_similarity(tmp_path / f"sim_{name}.txt")
-            d = compute_min_distance(16, S.C)
-            centers, trace = optimize(S, 16, d, hp, seed=3)
-            write_centers(centers, ref / f"centers_{name}.shc")
-            d_min, s_loss = quality_metrics(centers, S)
-            write_report(ref / f"centers_{name}.json", {
-                "d": d, "d_min": d_min, "s_loss": s_loss, "objective_trace": trace,
-                "violations": violation_count(centers, d), "seed": 3,
-                "hyperparameters": dataclasses.asdict(hp),
-            })
-        assert digests(ref) == ALM_REFERENCE_SHA256
-
-
-def write_report(path, report):
-    """Write a report as `shc centers --report` does."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
