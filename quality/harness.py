@@ -16,7 +16,7 @@ queries.
 The arms are the Hadamard init, the greedy init, init + ``descend`` (what
 ``shc centers`` runs) and init + ``descend`` at ``--min-dist 1``.  Numpy
 only and seeded: the report holds no timing, and two runs at one commit
-write the same report.  Nothing here gates a change.
+write the same numbers.  Nothing here gates a change.
 """
 
 import argparse
