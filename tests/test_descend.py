@@ -132,6 +132,28 @@ class TestDescend:
         assert out == init
         assert trace == [0.0]
 
+    @pytest.mark.parametrize("C, q", [(2, 8), (10, 16), (16, 32), (100, 64), (64, 128)])
+    def test_a_zero_loss_start_is_a_fixed_point(self, C, q):
+        # S = G/q of the start itself, exact as q is a power of two, at the start's own spacing
+        init = init_centers(q, C, compute_min_distance(q, C), seed=C)
+        S = init.matrix.astype(np.int64) @ init.matrix.T / q
+        out, trace = descend(S, init, quality_metrics(init, S)[0])
+        assert out == init
+        assert trace == [0.0]
+
+    @pytest.mark.parametrize("C, q", SIZES[:3])
+    @pytest.mark.parametrize("signs", ["complement", "random"])
+    def test_commutes_with_bit_signs(self, signs, C, q):
+        # negating bit k of every center leaves G, each gain and each mask as they were, so the
+        # descent makes the same flips; negating every bit takes each center's complement
+        S, d, init = cosine_fixture(C, q)
+        D = (np.full(q, -1, dtype=np.int8) if signs == "complement"
+             else np.random.default_rng(q).choice(np.array([-1, 1], dtype=np.int8), q))
+        out, trace = descend(S, init, d)
+        signed, signed_trace = descend(S, CenterSet(init.matrix * D), d)
+        assert np.array_equal(signed.matrix, out.matrix * D)
+        assert signed_trace == trace
+
     def test_rejects_bad_arguments(self):
         init = init_centers(8, 2, 2, seed=0)
         with pytest.raises(ValidationError):
@@ -175,6 +197,22 @@ def test_gap_to_exhaustive_optimum(C):
         gap, init_gap = quality_metrics(out, S)[1] - best, quality_metrics(init, S)[1] - best
         print(f"q={q} C={C} seed={seed} d={d}: descent gap {gap:.6g}, init gap {init_gap:.6g}")
         assert -1e-9 <= gap <= init_gap
+
+
+@pytest.mark.parametrize("s", [-0.8, 0.1, 0.9])
+@pytest.mark.parametrize("q, d", [(q, d) for q in (4, 8, 16, 32, 64, 128)
+                                  for d in (1, q // 2, compute_min_distance(q, 2))])
+def test_two_centers_reach_the_best_feasible_product(q, d, s):
+    # s_loss = 2 (s - t/q)^2 is convex in t = h_1 . h_2, a flip moves t by 2, and only the flips
+    # that would bring the pair below d are blocked: the descent ends at the best t with distance >= d
+    S = np.array([[1.0, s], [s, 1.0]])
+    best = min(2 * (s - (q - 2 * w) / q) ** 2 for w in range(d, q + 1))
+    for seed in range(3):
+        init = init_centers(q, 2, d, seed)
+        assert violation_count(init, d) == 0
+        out, trace = descend(S, init, d)
+        assert violation_count(out, d) == 0
+        assert abs(trace[-1] - best) <= 1e-12, seed
 
 
 def reference_descend(S, centers, d):

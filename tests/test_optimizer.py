@@ -68,6 +68,13 @@ class TestInitCenters:
         assert d_min == 8
         assert cs.C == 32 and cs.q == 16
 
+    @pytest.mark.parametrize("q", [2, 4, 8, 16, 32, 64])
+    def test_hadamard_spacing_at_every_class_count(self, q):
+        # any two of the first C rows of [H; -H] lie q/2 apart, save a row and its complement (q)
+        for C in range(2, 2 * q + 1):
+            cs = init_centers(q, C, q // 2, seed=0, method=INIT_HADAMARD)
+            assert quality_metrics(cs, np.eye(C))[0] == q // 2, C
+
     def test_hadamard_restrictions(self):
         with pytest.raises(ValidationError):
             init_centers(12, 4, 2, seed=0, method=INIT_HADAMARD)
@@ -273,6 +280,15 @@ class TestQualityMetrics:
         assert d_min == int(hamming_matrix(H, H)[off_diagonal].min())
         G = H.astype(np.float64) @ H.T.astype(np.float64)
         assert_allclose(s_loss, float(((S - G / q) ** 2).sum()), rtol=1e-12)
+
+    @pytest.mark.parametrize("q", [1, 8, 63, 64, 65, 129])
+    def test_invariant_under_bit_signs_and_order(self, q):
+        # negating or reordering the bit positions of every center leaves G, so both metrics, as is
+        rng = np.random.default_rng(q)
+        H = (rng.integers(0, 2, (9, q)) * 2 - 1).astype(np.int8)
+        S = random_similarity(rng, 9)
+        moved = H[:, rng.permutation(q)] * rng.choice(np.array([-1, 1], dtype=np.int8), q)
+        assert quality_metrics(CenterSet(moved), S) == quality_metrics(CenterSet(H), S)
 
     def test_exhaustive_fallback_refuses_codes_it_cannot_enumerate(self):
         # beyond q = 20 the 2^q codewords are not enumerated
