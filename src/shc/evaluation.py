@@ -81,17 +81,19 @@ class EvalReport:
 
 
 def worker_count() -> int:
-    """Worker cap for parallel evaluation: SHC_THREADS, else machine parallelism."""
-    env = os.environ.get("SHC_THREADS")
-    if env is None:
-        return os.cpu_count() or 1
+    """Worker cap for parallel evaluation: machine parallelism, or SHC_THREADS if that is fewer.
+
+    Each worker holds a chunk of EVAL_CHUNK_BYTES, so workers beyond the CPUs add memory, not speed.
+    """
+    cpus = os.cpu_count() or 1
+    env = os.environ.get("SHC_THREADS", str(cpus))
     try:
         value = int(env)
     except ValueError:
         raise ValidationError(f"SHC_THREADS must be a positive integer, got {env!r}") from None
     if value < 1:
         raise ValidationError(f"SHC_THREADS must be a positive integer, got {env!r}")
-    return value
+    return min(value, cpus)
 
 
 def _hit_stats(flat, rows, N, cutoffs):

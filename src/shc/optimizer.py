@@ -210,28 +210,25 @@ def _exhaustive_max_min(accepted: np.ndarray, q: int) -> np.ndarray:
 
 
 def _hadamard_centers(q: int, C: int, d: int) -> CenterSet:
+    """The first C rows of [H; -H], each from the closed form H[i, j] = (-1)^popcount(i & j) of Sylvester's H.
+
+    Any two rows lie q/2 apart but a row and its complement, q apart, so close pairs are counted, not found.
+    """
     if q & (q - 1):
         raise ValidationError(f"hadamard init needs a power-of-two code length, got q={q}")
     if C > 2 * q:
         raise ValidationError(f"hadamard init supports at most 2q={2 * q} classes, got C={C}")
-    rows = _sylvester_hadamard(q)
-    pool = np.vstack([rows, -rows])
-    centers = pool[:C]
-    bad = _close_pairs(_gram(centers), q, d)
+    k, i = q.bit_length() - 1, np.arange(C)[:, None]  # q = 2^k
+    rows = (1 - 2 * (i >> k & 1)).astype(np.int8)  # -1 from row q on: row q + i is the complement of row i
+    for b in range(k):  # (-1)^popcount(i & j) is the product of (-1)^(i_b j_b): the columns with j_b = 1 take (-1)^i_b
+        rows = np.hstack([rows, rows * (1 - 2 * (i >> b & 1)).astype(np.int8)])
+    bad = C * (C - 1) // 2 - max(0, C - q) if 2 * d > q else 0
     if bad:
         log.warning(
             "hadamard init: %d center pairs below target distance %d (pairwise spacing is q/2=%d)",
             bad, d, q // 2,
         )
-    return CenterSet(centers)
-
-
-def _sylvester_hadamard(q: int) -> np.ndarray:
-    """The q x q Sylvester Hadamard matrix (q a power of two) in int8: H_2q = [[H, H], [H, -H]]."""
-    rows = np.ones((1, 1), dtype=np.int8)
-    while rows.shape[0] < q:
-        rows = np.block([[rows, rows], [rows, -rows]])
-    return rows
+    return CenterSet(rows)
 
 
 def violation_count(centers: CenterSet, d: int) -> int:

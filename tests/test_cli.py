@@ -449,15 +449,17 @@ class TestEntryPoint:
         # one similarity file, written once in this process, read by both children
         sim = tmp_path / "sim.txt"
         write_similarity(cosine_similarity_matrix(np.random.default_rng(3).normal(size=(300, 32))), sim)
-        outputs = []
-        for threads in ("1", "2"):
-            out, report = tmp_path / f"c{threads}.shc", tmp_path / f"r{threads}.json"
-            proc = run_python(["-m", "shc", "-v", "centers", "--sim", str(sim), "--bits", "64",
-                               "--seed", "1", "--out", str(out), "--report", str(report)],
-                              OPENBLAS_NUM_THREADS=threads)
-            assert proc.returncode == 0, proc.stderr
-            outputs.append((out.read_bytes(), report.read_bytes()))
-        assert outputs[0] == outputs[1]
+        outputs = {}
+        # the greedy init at q = 64, and the Hadamard init at q = 256 (300 classes need 2q >= 300)
+        for init, bits in (("hadamard", "256"), ("greedy", "64")):
+            for threads in ("1", "2"):
+                out, report = tmp_path / f"{init}{threads}.shc", tmp_path / f"{init}{threads}.json"
+                proc = run_python(["-m", "shc", "-v", "centers", "--sim", str(sim), "--bits", bits, "--seed", "1",
+                                   "--init", init, "--out", str(out), "--report", str(report)],
+                                  OPENBLAS_NUM_THREADS=threads)
+                assert proc.returncode == 0, proc.stderr
+                outputs[init, threads] = (out.read_bytes(), report.read_bytes())
+            assert outputs[init, "1"] == outputs[init, "2"], init
         # a sweep that flips fewer than C/4 bits and is not the last is followed by a screened one
         flips = [int(n) for n in re.findall(r"descend: sweep \d+ flipped (\d+) bits", proc.stderr)]
         assert any(n < 300 / 4 for n in flips[:-1])
@@ -698,6 +700,8 @@ GOLDEN_SHA256 = {
     "centers_d1.shc": "60086bb46933decf0d2c59fc849214c35a5ebcffe3f464374a2dc32ff4c9d5a1",
     "centers_emb.json": "4714358bcad900cbcb8c686c00b50018fd21df2539c62bfd11f4709fbdefc9ed",
     "centers_emb.shc": "45a5f770322843fa7d2dcb0f1ec1b6337a09a9b992cbc4c46a8d194d053d4043",
+    "centers_had.json": "dff6587c8c92680ece728c1973d32747397adbff88fe32291d31428e96626bb6",
+    "centers_had.shc": "b58b1971092c9feb412e78322ada4a4876b0b936d645fd528c1538b8e6b8f85f",
     "centers_log.json": "2fc49a844dd477b428da689fcca11e464852a1c778ab267a95634c57f2c72c8d",
     "centers_log.shc": "c86f314d1467ec57dfbbf2799ab56451ac0200d7cb9a6efce4bd82b6e48f9e47",
     "db.shcd": "4013f70cb802dcaf048867b603e4f9bf7e3639c61276474ca81ceeb080a405d7",
@@ -715,7 +719,8 @@ GOLDEN_SHA256 = {
 def run_golden_pipeline(tmp_path):
     """simmatrix (embeddings, logits, argmax-masked logits) -> centers --report -> eval, on seeded inputs.
 
-    A third centers call runs the ablation without the distance constraint, --min-dist 1.
+    A third centers call runs the ablation without the distance constraint, --min-dist 1, and
+    a fourth starts from Hadamard rows, --init hadamard.
     """
     rng = np.random.default_rng(2025)
     emb = rng.normal(size=(10, 6))
@@ -737,6 +742,8 @@ def run_golden_pipeline(tmp_path):
     assert main(["centers", "--sim", str(tmp_path / "sim_log.txt"), "--bits", "16", "--seed", "3",
                  "--min-dist", "1", "--out", str(tmp_path / "centers_d1.shc"),
                  "--report", str(tmp_path / "centers_d1.json")]) == 0
+    assert main(["centers", "--sim", str(tmp_path / "sim_emb.txt"), "--bits", "16", "--init", "hadamard",
+                 "--out", str(tmp_path / "centers_had.shc"), "--report", str(tmp_path / "centers_had.json")]) == 0
     H = read_centers(tmp_path / "centers_emb.shc").matrix
     for name, n in (("db", 60), ("queries", 12)):
         labels = rng.integers(0, len(H), n)
@@ -755,6 +762,6 @@ class TestGoldenBytes:
     def test_pipeline_outputs_match_recorded_digests(self, tmp_path):
         run_golden_pipeline(tmp_path)
         assert digests(tmp_path) == GOLDEN_SHA256
-        for name in ("d1", "emb", "log"):
+        for name in ("d1", "emb", "had", "log"):
             report = json.loads((tmp_path / f"centers_{name}.json").read_text(encoding="utf-8"))
             assert report["s_loss"] == report["objective_trace"][-1]

@@ -442,13 +442,14 @@ class TestCenterStageMemory:
         peak = traced_peak(lambda: (quality_metrics(init, S), violation_count(init, d)))
         assert peak <= 0.65 * self.CC
 
-    def test_hadamard_init_counts_close_pairs_in_row_blocks(self):
-        _, d, _ = cosine_fixture(self.C, self.q)
-        # C = 400 takes q = 256 (at most 2q classes): G, a row block of the XOR over four
-        # words with its uint16 distances, and the q x q rows with their complements:
-        # 0.82 measured
-        peak = traced_peak(lambda: init_centers(256, self.C, d, seed=0, method=INIT_HADAMARD))
-        assert peak <= 0.9 * self.CC
+    # C = 400 takes q = 256 (at most 2q classes); at (4096, 10) the bound is 384 KiB, where
+    # the whole q x q Sylvester matrix, its 2q x q pool and their Gram took 64 MiB
+    @pytest.mark.parametrize("q, C", [(256, 400), (4096, 10)])
+    def test_hadamard_init_holds_a_few_bytes_per_returned_bit(self, q, C):
+        # the rows as their columns double, then CenterSet's check and copy: about 4 B per
+        # bit measured, and no q x q, 2q x q or C x C array, even when every pair is close
+        peak = traced_peak(lambda: init_centers(q, C, q // 2 + 1, seed=0, method=INIT_HADAMARD))
+        assert peak <= 8 * C * q + (64 << 10)
 
     def test_greedy_init_forms_no_all_pairs_gram(self):
         _, d, _ = cosine_fixture(self.C, self.q)

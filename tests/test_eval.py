@@ -1,4 +1,5 @@
 import logging
+import os
 import tracemalloc
 
 import numpy as np
@@ -503,13 +504,36 @@ class TestEvaluate:
 
 
 class TestWorkerCount:
+    # worker_count only: no evaluate runs with these counts, so no threads start
+
     def test_env_override(self, monkeypatch):
+        # SHC_THREADS caps at the CPU count
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("SHC_THREADS", "3")
+        assert worker_count() == 2
+
+    def test_env_override_below_the_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setenv("SHC_THREADS", "3")
         assert worker_count() == 3
+
+    def test_a_huge_env_value_takes_the_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("SHC_THREADS", "1000000")
+        assert worker_count() == 2
 
     def test_default_is_machine_parallelism(self, monkeypatch):
         monkeypatch.delenv("SHC_THREADS", raising=False)
         assert worker_count() >= 1
+
+    @pytest.mark.parametrize("env", [None, "3"])
+    def test_an_unknown_cpu_count_is_one(self, monkeypatch, env):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        if env is None:
+            monkeypatch.delenv("SHC_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("SHC_THREADS", env)
+        assert worker_count() == 1
 
     @pytest.mark.parametrize("value", ["0", "-2", "abc"])
     def test_rejects_bad_values(self, monkeypatch, value):

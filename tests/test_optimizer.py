@@ -20,11 +20,10 @@ from shc.optimizer import (
     INIT_HADAMARD,
     _CANDIDATES_PER_SLOT,
     _exhaustive_max_min,
-    _hadamard_centers,
     descend,
     init_centers,
     quality_metrics,
-    _sylvester_hadamard,
+    violation_count,
 )
 
 from oracles import hamming_matrix
@@ -134,24 +133,34 @@ class TestInitCenters:
 
     @pytest.mark.parametrize("q", [2**k for k in range(9)])
     def test_sylvester_hadamard_rows(self, q):
-        # the defining properties: orthogonal rows, H H^T = qI, an all-ones first row and the
-        # Sylvester recursion H_2q = [[H, H], [H, -H]]
-        rows = _sylvester_hadamard(q)
+        # the reference's defining properties: orthogonal rows, H H^T = qI, an all-ones first
+        # row and the recursion H_2q = [[H, H], [H, -H]]
+        rows = sylvester_hadamard(q)
         assert rows.dtype == np.int8
         assert np.array_equal(rows.astype(np.int64) @ rows.T, q * np.eye(q, dtype=np.int64))
         assert (rows[0] == 1).all()
-        assert np.array_equal(_sylvester_hadamard(2 * q), np.block([[rows, rows], [rows, -rows]]))
+        assert np.array_equal(sylvester_hadamard(2 * q), np.block([[rows, rows], [rows, -rows]]))
 
 
 log = logging.getLogger("shc.optimizer")
 
 
+def sylvester_hadamard(q: int) -> np.ndarray:
+    """The q x q Sylvester Hadamard matrix (q a power of two) in int8, by H_2q = [[H, H], [H, -H]]."""
+    rows = np.ones((1, 1), dtype=np.int8)
+    while rows.shape[0] < q:
+        rows = np.block([[rows, rows], [rows, -rows]])
+    return rows
+
+
 def reference_init_centers(q: int, C: int, d: int, seed: int, method: str = INIT_GREEDY) -> CenterSet:
     """init_centers as it was before the candidates were ranked in blocks: all of a slot's at once.
 
-    The body is verbatim but for the closing count of close pairs, taken over all pairs
-    of the finished set; the fast :func:`init_centers` must return the same centers and
-    log the same warning.
+    The greedy body is verbatim but for the closing count of close pairs, taken over all
+    pairs of the finished set.  The Hadamard init is the one from before its rows came
+    from their closed form: the first C rows of the pool [H; -H] of the whole Sylvester
+    matrix, its close pairs counted over all pairs.  The fast :func:`init_centers` must
+    return the same centers and log the same warning.
     """
     if q < 1:
         raise ValidationError(f"code length must be positive, got {q}")
@@ -163,7 +172,19 @@ def reference_init_centers(q: int, C: int, d: int, seed: int, method: str = INIT
         raise InfeasibleError(f"{C} classes do not fit in {{-1,+1}}^{q} ({2**q} codewords)")
 
     if method == INIT_HADAMARD:
-        return _hadamard_centers(q, C, d)
+        if q & (q - 1):
+            raise ValidationError(f"hadamard init needs a power-of-two code length, got q={q}")
+        if C > 2 * q:
+            raise ValidationError(f"hadamard init supports at most 2q={2 * q} classes, got C={C}")
+        rows = sylvester_hadamard(q)
+        centers = np.vstack([rows, -rows])[:C]
+        bad = int(np.count_nonzero(np.triu(hamming_matrix(centers, centers) < d, k=1)))
+        if bad:
+            log.warning(
+                "hadamard init: %d center pairs below target distance %d (pairwise spacing is q/2=%d)",
+                bad, d, q // 2,
+            )
+        return CenterSet(centers)
     if method != INIT_GREEDY:
         raise ValidationError(f"unknown init method {method!r}")
 
@@ -242,6 +263,26 @@ class TestInitMatchesReference:
                 assert messages == ref_messages, (d, seed)
                 warned += len(messages)
         assert calls and warned
+
+
+class TestHadamardMatchesReference:
+    @pytest.mark.parametrize("q", [2**k for k in range(9)])
+    def test_same_rows_at_every_class_count(self, q):
+        pool = np.vstack([sylvester_hadamard(q), -sylvester_hadamard(q)])
+        for C in range(1, 2 * q + 1):
+            assert np.array_equal(init_centers(q, C, 1, seed=0, method=INIT_HADAMARD).matrix, pool[:C]), C
+
+    @pytest.mark.parametrize("q", [2**k for k in range(8)])
+    def test_warning_names_the_violation_count(self, q, caplog):
+        # every d, at class counts around q (where complements begin) and at both ends
+        for C in sorted({1, 2, q - 1, q, q + 1, q + 2, 2 * q} & set(range(1, 2 * q + 1))):
+            for d in range(1, q + 1):
+                rows, messages = warnings_of(caplog, init_centers, q, C, d, 0, INIT_HADAMARD)
+                bad = violation_count(CenterSet(rows), d)
+                assert messages == ([] if bad == 0 else [
+                    f"hadamard init: {bad} center pairs below target distance {d} (pairwise spacing is q/2={q // 2})"
+                ]), (C, d)
+                assert warnings_of(caplog, reference_init_centers, q, C, d, 0, INIT_HADAMARD)[1] == messages
 
 
 class TestQualityMetrics:
